@@ -291,55 +291,52 @@ let is_well_formed t =
   volume_ok && sampling_ok
 
 let resolver t =
-  let live = live_nodes t in
+  let live = List.sort (fun a b -> Int.compare a.id b.id) (live_nodes t) in
   let count = List.length live in
   if count = 0 then invalid_arg "Can.resolver: empty overlay";
   (* Node ids may be sparse after departures: map them onto dense indexes. *)
-  let ids = Array.of_list (List.sort Int.compare (List.map (fun n -> n.id) live)) in
+  let nodes = Array.of_list live in
   let index_of_id id =
     let rec search lo hi =
       if lo >= hi then lo
       else
         let mid = (lo + hi) / 2 in
-        if ids.(mid) >= id then search lo mid else search (mid + 1) hi
+        if nodes.(mid).id >= id then search lo mid else search (mid + 1) hi
     in
     search 0 count
   in
+  let responsible key = index_of_id (owner_of_point t (point_of_key t key)) in
+  let rec mem buf i j =
+    j < Stdx.Arena.Int_buf.length buf
+    && (Int.equal (Stdx.Arena.Int_buf.get buf j) i || mem buf i (j + 1))
+  in
+  (* The owner, then breadth-first over zone adjacency: each visited
+     node's neighbours in id order.  The zones tile the space, so the
+     walk reaches every live node and the set always has [min r count]
+     members. *)
+  let replicas_into key r buf =
+    Stdx.Arena.Int_buf.clear buf;
+    let want = Int.min r count in
+    if want > 0 then Stdx.Arena.Int_buf.push buf (responsible key);
+    let head = ref 0 in
+    while Stdx.Arena.Int_buf.length buf < want && !head < Stdx.Arena.Int_buf.length buf do
+      let n = nodes.(Stdx.Arena.Int_buf.get buf !head) in
+      incr head;
+      List.iter
+        (fun m ->
+          let i = index_of_id m.id in
+          if Stdx.Arena.Int_buf.length buf < want && not (mem buf i 0) then
+            Stdx.Arena.Int_buf.push buf i)
+        (List.sort (fun a b -> Int.compare a.id b.id) (neighbours t n))
+    done
+  in
   {
     Resolver.node_count = count;
-    responsible = (fun key -> index_of_id (owner_of_point t (point_of_key t key)));
+    responsible;
     route_hops =
       (fun key ->
         let _owner, hops = lookup t key in
         hops);
-    replicas =
-      (fun key r ->
-        (* The owner plus its zone neighbours, by id order. *)
-        let owner = node_of t (owner_of_point t (point_of_key t key)) in
-        let candidates =
-          owner.id
-          :: List.map (fun m -> m.id) (List.sort (fun a b -> Int.compare a.id b.id) (neighbours t owner))
-        in
-        let rec take k = function
-          | [] -> []
-          | x :: rest -> if k = 0 then [] else index_of_id x :: take (k - 1) rest
-        in
-        take (Stdlib.min r count) candidates);
-    replicas_into =
-      (fun key r buf ->
-        let owner = node_of t (owner_of_point t (point_of_key t key)) in
-        let candidates =
-          owner.id
-          :: List.map (fun m -> m.id) (List.sort (fun a b -> Int.compare a.id b.id) (neighbours t owner))
-        in
-        Stdx.Arena.Int_buf.clear buf;
-        let rec take k = function
-          | [] -> ()
-          | x :: rest ->
-              if k > 0 then begin
-                Stdx.Arena.Int_buf.push buf (index_of_id x);
-                take (k - 1) rest
-              end
-        in
-        take (Stdlib.min r count) candidates);
+    replicas = Resolver.list_of_into replicas_into;
+    replicas_into;
   }

@@ -49,5 +49,7 @@ val is_well_formed : t -> bool
     symmetric and complete. *)
 
 val resolver : t -> Resolver.t
-(** Resolver view; node indexes are CAN node ids.  [replicas] uses the
-    zone's neighbours (CAN's natural replica set). *)
+(** Resolver view; node indexes are the live node ids in increasing
+    order.  [replicas] is CAN's natural replica set: the owner, its zone
+    neighbours in id order, then breadth-first onward through their
+    neighbours until [r] nodes (or every live node) are in the set. *)

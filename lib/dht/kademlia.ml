@@ -1,33 +1,12 @@
 module Key = Hashing.Key
 
-let xor_distance a b =
-  let ha = Key.to_hex a and hb = Key.to_hex b in
-  let hex_value c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> invalid_arg "Kademlia.xor_distance: bad hex"
-  in
-  let digits = "0123456789abcdef" in
-  Key.of_hex
-    (String.init (String.length ha) (fun i -> digits.[hex_value ha.[i] lxor hex_value hb.[i]]))
+let xor_distance = Key.logxor
 
 (* Bucket index: position of the highest differing bit (0..159), i.e. the
    distance scale.  None when the keys are equal. *)
 let bucket_index a b =
-  let d = xor_distance a b in
-  let rec scan nibble =
-    if nibble >= 40 then None
-    else
-      let v = Key.nibble d nibble in
-      if v = 0 then scan (nibble + 1)
-      else
-        let bit_in_nibble =
-          if v >= 8 then 3 else if v >= 4 then 2 else if v >= 2 then 1 else 0
-        in
-        Some ((4 * (39 - nibble)) + bit_in_nibble)
-  in
-  scan 0
+  let cpl = Key.common_prefix_bits a b in
+  if cpl = Key.bits then None else Some (Key.bits - 1 - cpl)
 
 type node = {
   id : Key.t;
@@ -68,9 +47,7 @@ let responsible_oracle t key =
   | first :: rest ->
       List.fold_left
         (fun best candidate ->
-          if Key.compare (xor_distance key candidate) (xor_distance key best) < 0 then
-            candidate
-          else best)
+          if Key.compare_xor ~target:key candidate best < 0 then candidate else best)
         first rest
 
 (* Bucket update on hearing from [contact]: refresh recency, or append when
@@ -96,7 +73,7 @@ let known_contacts n = Array.to_list n.buckets |> List.concat
 let closest_contacts t n ~target ~count =
   known_contacts n
   |> List.filter (is_alive t)
-  |> List.sort (fun a b -> Key.compare (xor_distance target a) (xor_distance target b))
+  |> List.sort (Key.compare_xor ~target)
   |> List.filteri (fun i _ -> i < count)
 
 exception Lookup_failure of string
@@ -106,9 +83,8 @@ exception Lookup_failure of string
    closest known are all queried.  Every query teaches both sides. *)
 let iterative_lookup t ~from target =
   let querier = node_of t from in
-  let distance c = xor_distance target c in
-  let closer a b = Key.compare (distance a) (distance b) < 0 in
-  let sort_by_distance l = List.sort (fun a b -> Key.compare (distance a) (distance b)) l in
+  let closer a b = Key.compare_xor ~target a b < 0 in
+  let sort_by_distance l = List.sort (Key.compare_xor ~target) l in
   let candidates = ref (sort_by_distance (from :: closest_contacts t querier ~target ~count:t.k)) in
   let queried = Hashtbl.create 32 in
   let contacted = ref 0 in
@@ -220,34 +196,61 @@ let is_converged t =
             sample)
         keys
 
+(* ------------------------------------------------------------------ *)
+(* The resolver's XOR trie.  The sorted identifier array is read as an
+   implicit binary trie: a subtree is a contiguous range [lo, hi) whose
+   keys all share their first [common_prefix_bits keys.(lo) keys.(hi-1)]
+   bits; the next bit splits it into a 0-half and a 1-half, found by
+   binary search.  Every key in the half that agrees with the target on
+   that bit is XOR-closer than every key in the other half, so descending
+   toward the target's bits finds the owner, and a near-child-first
+   depth-first walk yields nodes in exact XOR order. *)
+
+(* First index in [lo, hi) whose bit [b] is set. *)
+let[@hot] rec split_at keys b lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Key.bit keys.(mid) b = 1 then split_at keys b lo mid else split_at keys b (mid + 1) hi
+
+let[@hot] rec descend keys target lo hi =
+  if hi - lo = 1 then lo
+  else
+    let b = Key.common_prefix_bits keys.(lo) keys.(hi - 1) in
+    let m = split_at keys b lo hi in
+    if Key.bit target b = 0 then descend keys target lo m else descend keys target m hi
+
+let[@hot] rec fill_closest keys target want buf lo hi =
+  if Stdx.Arena.Int_buf.length buf < want then
+    if hi - lo = 1 then Stdx.Arena.Int_buf.push buf lo
+    else begin
+      let b = Key.common_prefix_bits keys.(lo) keys.(hi - 1) in
+      let m = split_at keys b lo hi in
+      if Key.bit target b = 0 then begin
+        fill_closest keys target want buf lo m;
+        fill_closest keys target want buf m hi
+      end
+      else begin
+        fill_closest keys target want buf m hi;
+        fill_closest keys target want buf lo m
+      end
+    end
+
 let resolver t =
   let keys = Array.of_list (live_keys t) in
   let count = Array.length keys in
   if count = 0 then invalid_arg "Kademlia.resolver: empty network";
-  let index_of key =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if Key.compare keys.(mid) key >= 0 then search lo mid else search (mid + 1) hi
-    in
-    let i = search 0 count in
-    if i = count then count - 1 else i
-  in
-  let xor_closest key r =
-    Array.to_list keys
-    |> List.sort (fun a b -> Key.compare (xor_distance key a) (xor_distance key b))
-    |> List.filteri (fun i _ -> i < r)
-    |> List.map index_of
+  let replicas_into key r buf =
+    Stdx.Arena.Int_buf.clear buf;
+    fill_closest keys key (Int.min r count) buf 0 count
   in
   {
     Resolver.node_count = count;
-    responsible = (fun key -> index_of (responsible_oracle t key));
+    responsible = (fun key -> descend keys key 0 count);
     route_hops =
       (fun key ->
         let _owner, contacted = lookup t key in
         contacted);
-    replicas = (fun key r -> xor_closest key (Stdlib.min r count));
-    replicas_into =
-      Resolver.into_of_list (fun key r -> xor_closest key (Stdlib.min r count));
+    replicas = Resolver.list_of_into replicas_into;
+    replicas_into;
   }

@@ -36,7 +36,10 @@ val live_count : t -> int
 val live_keys : t -> Hashing.Key.t list
 
 val xor_distance : Hashing.Key.t -> Hashing.Key.t -> Hashing.Key.t
-(** The metric itself (exposed for tests): bitwise XOR of the keys. *)
+(** The metric itself (exposed for tests): bitwise XOR of the keys,
+    {!Hashing.Key.logxor}.  Lookups and bucket placement never build it:
+    they compare distances with {!Hashing.Key.compare_xor} and take
+    bucket indexes from {!Hashing.Key.common_prefix_bits}. *)
 
 val lookup : t -> ?from:Hashing.Key.t -> Hashing.Key.t -> Hashing.Key.t * int
 (** Iterative lookup from [from] (default: first live node): returns the
@@ -56,4 +59,19 @@ val is_converged : t -> bool
 val resolver : t -> Resolver.t
 (** Resolver view over live nodes (indexes in sorted-key order);
     [replicas] returns the r XOR-closest nodes, Kademlia's natural replica
-    set. *)
+    set, closest first.
+
+    {b Snapshot.}  [responsible], [replicas] and [replicas_into] answer
+    from the identifiers live when the resolver is built, read as a
+    binary trie over their bits: they agree with {!responsible_oracle}
+    and with a sort of that snapshot by XOR distance, but do not see
+    later joins or leaves — build a new resolver after changing
+    membership.  [route_hops] runs a real {!lookup} on the live network
+    (and so updates its buckets).
+
+    {b Cost.}  [responsible] descends the trie toward the key's bits:
+    O(log n) levels for random identifiers, each a 20-byte prefix
+    comparison plus a binary search.  [replicas_into] walks it near child
+    first and stops after [r] leaves, O(r log n) levels.  Neither
+    allocates (beyond growing a too-small buffer); [replicas] allocates
+    only the buffer and the returned list. *)

@@ -25,12 +25,7 @@ let[@hot] ring_replicas_into ~node_count ~primary r buf =
     Stdx.Arena.Int_buf.push buf ((primary + i) mod node_count)
   done
 
-let rec push_all buf = function
-  | [] -> ()
-  | node :: rest ->
-      Stdx.Arena.Int_buf.push buf node;
-      push_all buf rest
-
-let into_of_list replicas key r buf =
-  Stdx.Arena.Int_buf.clear buf;
-  push_all buf (replicas key r)
+let list_of_into replicas_into key r =
+  let buf = Stdx.Arena.Int_buf.create () in
+  replicas_into key r buf;
+  Stdx.Arena.Int_buf.to_list buf

@@ -4,7 +4,25 @@
     a key, find the live node responsible for it (Section III-A).  A resolver
     packages that operation together with the routing cost of answering it,
     so the simulation can charge substrate hops when it wants to (the paper
-    treats them as orthogonal; the ablation benches do not). *)
+    treats them as orthogonal; the ablation benches do not).
+
+    {b Snapshot.}  Every substrate builds its resolver from the live
+    membership at that moment: node indexes are positions in that
+    membership, and static, Chord, Pastry and Kademlia resolvers answer
+    [responsible] and [replicas] from it alone.  After joins or leaves,
+    build a new resolver.  The simulations build theirs once, after
+    bootstrap; churn there acts on node liveness, not on overlay
+    membership.
+
+    {b Per-call cost} for [n] nodes and [r] replicas:
+    - static, Chord, Pastry: [responsible] is a binary search over the
+      sorted identifiers, [replicas_into] adds [r] ring steps;
+    - Kademlia: [responsible] descends an XOR prefix trie over the sorted
+      identifiers, about [log n] levels of a prefix comparison and a
+      binary search each; [replicas_into] visits [r] of its leaves;
+    - CAN: [responsible] scans the zones, O(n); [replicas_into] walks
+      zone neighbours breadth-first, O(n) per visited node;
+    - [route_hops] runs a real overlay lookup everywhere but static. *)
 
 type t = {
   node_count : int;
@@ -40,12 +58,12 @@ val ring_replicas_into :
   node_count:int -> primary:int -> int -> Stdx.Arena.Int_buf.t -> unit
 (** {!ring_replicas} into a scratch buffer (cleared first). *)
 
-val into_of_list :
-  (Hashing.Key.t -> int -> int list) ->
+val list_of_into :
+  (Hashing.Key.t -> int -> Stdx.Arena.Int_buf.t -> unit) ->
   Hashing.Key.t ->
   int ->
-  Stdx.Arena.Int_buf.t ->
-  unit
-(** Adapter for substrates whose replica placement is inherently
-    list-shaped (Kademlia XOR-closest, CAN zone neighbours): fill the
-    buffer from the list the substrate computes. *)
+  int list
+(** The list view of a [replicas_into] function, for substrates that
+    compute their replica set into a buffer (Kademlia's XOR trie, CAN's
+    breadth-first zone walk): [replicas] written this way agrees with
+    [replicas_into] by construction. *)

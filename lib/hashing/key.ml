@@ -43,6 +43,51 @@ let nibble t i =
   let byte = Char.code t.[i / 2] in
   if i mod 2 = 0 then byte lsr 4 else byte land 0xF
 
+(* XOR-metric primitives (Kademlia).  All walk the two big-endian byte
+   strings in step from the most significant byte and stop at the first
+   difference; none of them builds an intermediate key. *)
+
+let[@inline] byte s i = Char.code (String.unsafe_get s i)
+
+let logxor a b =
+  let out = Bytes.create byte_count in
+  for i = 0 to byte_count - 1 do
+    Bytes.unsafe_set out i (Char.unsafe_chr (byte a i lxor byte b i))
+  done;
+  Bytes.unsafe_to_string out
+
+let[@hot] rec compare_xor_from target a b i =
+  if i = byte_count then 0
+  else
+    let t = byte target i in
+    let c = Int.compare (byte a i lxor t) (byte b i lxor t) in
+    if c <> 0 then c else compare_xor_from target a b (i + 1)
+
+let compare_xor ~target a b = compare_xor_from target a b 0
+
+(* Leading zero bits of a non-zero byte. *)
+let leading_zeros8 x =
+  if x >= 0x80 then 0
+  else if x >= 0x40 then 1
+  else if x >= 0x20 then 2
+  else if x >= 0x10 then 3
+  else if x >= 0x08 then 4
+  else if x >= 0x04 then 5
+  else if x >= 0x02 then 6
+  else 7
+
+let[@hot] rec common_prefix_from a b i =
+  if i = byte_count then bits
+  else
+    let x = byte a i lxor byte b i in
+    if x = 0 then common_prefix_from a b (i + 1) else (8 * i) + leading_zeros8 x
+
+let common_prefix_bits a b = common_prefix_from a b 0
+
+let bit t i =
+  if i < 0 || i >= bits then invalid_arg "Key.bit: index out of range";
+  (byte t (i lsr 3) lsr (7 - (i land 7))) land 1
+
 let add t u =
   (* Byte-wise addition modulo 2^160 (the final carry is discarded). *)
   let out = Bytes.create byte_count in

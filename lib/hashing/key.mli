@@ -39,6 +39,33 @@ val nibble : t -> int -> int
 
 val pp : Format.formatter -> t -> unit
 
+(** {1 XOR metric}
+
+    Kademlia's distance is the bitwise XOR of two keys read as a number.
+    These primitives answer the questions Kademlia asks of that distance
+    directly on the bytes: none of them allocates except {!logxor}, which
+    builds the distance itself. *)
+
+val logxor : t -> t -> t
+(** [logxor a b] is the bitwise XOR of the two keys — their XOR
+    distance. *)
+
+val compare_xor : target:t -> t -> t -> int
+(** [compare_xor ~target a b] compares [a ⊕ target] with [b ⊕ target]:
+    negative when [a] is XOR-closer to [target] than [b].  Its sign is
+    that of [compare (logxor target a) (logxor target b)]; it allocates
+    nothing.  XOR with a fixed target is a bijection, so it returns [0]
+    only when [a] and [b] are equal. *)
+
+val common_prefix_bits : t -> t -> int
+(** Number of leading bits the two keys share, in [\[0, bits\]];
+    [bits] exactly when they are equal. *)
+
+val bit : t -> int -> int
+(** [bit k i] is bit [i] of the key, most significant first, as [0] or
+    [1]; [i] in [\[0, bits)].  @raise Invalid_argument when [i] is out of
+    range. *)
+
 val succ : t -> t
 (** Next key clockwise (wraps at the top of the ring). *)
 

@@ -494,6 +494,169 @@ let kademlia_resolver_replicas_xor_closest () =
     | [] -> Alcotest.fail "no replicas"
   done
 
+(* ------------------------------------------------------------------ *)
+(* Resolver conformance: the {!Dht.Resolver} contract, checked against
+   every substrate — each on a freshly bootstrapped overlay and (bar the
+   immutable static DHT) on one rebuilt after joins and leaves.  [owner]
+   is the substrate's own answer for a key (a routed lookup; brute force
+   for the static DHT, the oracle for Kademlia), as a resolver index. *)
+
+type overlay = { resolver : Dht.Resolver.t; owner : Key.t -> int }
+
+let position_of sorted x ~equal =
+  let rec find i =
+    if i = Array.length sorted then Alcotest.fail "owner not among the live nodes"
+    else if equal sorted.(i) x then i
+    else find (i + 1)
+  in
+  find 0
+
+let keyed resolver live_keys owner_key =
+  let keys = Array.of_list live_keys in
+  { resolver; owner = (fun key -> position_of keys (owner_key key) ~equal:Key.equal) }
+
+let static_overlay () =
+  let dht = Static.create ~seed:61L ~node_count:40 () in
+  let keys = Array.init 40 (Static.node_key dht) in
+  let successor key =
+    match Array.find_opt (fun k -> Key.compare k key >= 0) keys with
+    | Some k -> k
+    | None -> keys.(0)
+  in
+  keyed (Static.resolver dht) (Array.to_list keys) successor
+
+let every_seventh keys = List.filteri (fun i _ -> i mod 7 = 0) keys
+
+let chord_overlay ~churned =
+  let ring = Chord.create_network ~seed:63L ~node_count:40 () in
+  if churned then begin
+    for _ = 1 to 8 do
+      ignore (Chord.join ring);
+      Chord.stabilize ring ~rounds:2
+    done;
+    List.iter (Chord.leave ring) (every_seventh (Chord.live_keys ring));
+    Chord.stabilize ring ~rounds:8
+  end;
+  keyed (Chord.resolver ring) (Chord.live_keys ring) (fun key -> fst (Chord.lookup ring key))
+
+let pastry_overlay ~churned =
+  let net = Pastry.create_network ~seed:65L ~node_count:40 () in
+  if churned then begin
+    for _ = 1 to 8 do
+      ignore (Pastry.join net)
+    done;
+    List.iter (Pastry.leave net) (every_seventh (Pastry.live_keys net));
+    Pastry.repair net;
+    Pastry.repair net
+  end;
+  keyed (Pastry.resolver net) (Pastry.live_keys net) (fun key -> fst (Pastry.lookup net key))
+
+let can_overlay ~churned =
+  let net = Can.create_network ~seed:67L ~node_count:40 () in
+  let ever = if churned then 48 else 40 in
+  let departed = if churned then every_seventh (List.init ever Fun.id) else [] in
+  if churned then begin
+    for _ = 1 to 8 do
+      ignore (Can.join net)
+    done;
+    List.iter (Can.leave net) departed
+  end;
+  let ids =
+    Array.of_list (List.filter (fun id -> not (List.mem id departed)) (List.init ever Fun.id))
+  in
+  {
+    resolver = Can.resolver net;
+    owner = (fun key -> position_of ids (fst (Can.lookup net key)) ~equal:Int.equal);
+  }
+
+(* Small integer identifiers share 150-odd leading bits, which makes the
+   resolver's XOR trie deep; random ones keep the top of it bushy. *)
+let kademlia_network ~churned =
+  let net = Kademlia.create_network ~seed:69L ~node_count:24 () in
+  List.iter
+    (fun i -> Kademlia.join_with_key net (Key.of_int i))
+    [ 0; 1; 2; 3; 5; 8; 13; 21; 34; 55; 89; 144; 233; 377; 610; 987 ];
+  if churned then begin
+    for _ = 1 to 8 do
+      ignore (Kademlia.join net)
+    done;
+    List.iter (Kademlia.leave net) (every_seventh (Kademlia.live_keys net));
+    Kademlia.refresh net
+  end;
+  net
+
+(* Against the oracle, not a routed lookup: the small-integer nodes join
+   after the bootstrap's refresh pass and know little of the upper half
+   of the space, so an iterative lookup from node 0 can stop short of the
+   XOR-closest node. *)
+let kademlia_overlay ~churned =
+  let net = kademlia_network ~churned in
+  keyed (Kademlia.resolver net) (Kademlia.live_keys net) (Kademlia.responsible_oracle net)
+
+(* Random keys, and small integers that land in the deep part of the
+   Kademlia trie; [r] runs past the network size. *)
+let arbitrary_probe =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [
+        map (fun seed -> Key.random (Stdx.Prng.create ~seed:(Int64.of_int seed))) int;
+        map Key.of_int (int_bound 2_000);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (key, r) -> Printf.sprintf "key %s, r = %d" (Key.to_hex key) r)
+    (pair key (int_range 1 60))
+
+let show_nodes l = String.concat "," (List.map string_of_int l)
+
+let resolver_contract name build =
+  let overlay = lazy (build ()) in
+  QCheck.Test.make ~name ~count:150 arbitrary_probe (fun (key, r) ->
+      let { resolver; owner } = Lazy.force overlay in
+      let n = Dht.Resolver.node_count resolver in
+      let replicas = Dht.Resolver.replicas resolver key r in
+      let buf = Stdx.Arena.Int_buf.create () in
+      (* Stale contents must be cleared. *)
+      Stdx.Arena.Int_buf.push buf (-1);
+      Dht.Resolver.replicas_into resolver key r buf;
+      let into = Stdx.Arena.Int_buf.to_list buf in
+      let primary = Dht.Resolver.responsible resolver key in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if List.length replicas <> Int.min r n then
+        fail "%d replicas for r = %d, n = %d" (List.length replicas) r n
+      else if List.length (List.sort_uniq Int.compare replicas) <> List.length replicas then
+        fail "repeated node in [%s]" (show_nodes replicas)
+      else if not (List.for_all (fun i -> i >= 0 && i < n) replicas) then
+        fail "index out of range in [%s]" (show_nodes replicas)
+      else if not (Int.equal (List.hd replicas) primary) then
+        fail "[%s] does not start with responsible %d" (show_nodes replicas) primary
+      else if not (List.equal Int.equal replicas into) then
+        fail "replicas_into [%s] <> replicas [%s]" (show_nodes into) (show_nodes replicas)
+      else if not (Int.equal primary (owner key)) then
+        fail "responsible %d, overlay owner %d" primary (owner key)
+      else true)
+
+(* The trie against the definition: sort the snapshot by XOR distance. *)
+let kademlia_trie_is_xor_sort name ~churned =
+  let fixture =
+    lazy
+      (let net = kademlia_network ~churned in
+       (Kademlia.resolver net, Array.of_list (Kademlia.live_keys net)))
+  in
+  QCheck.Test.make ~name ~count:150 arbitrary_probe (fun (key, r) ->
+      let resolver, keys = Lazy.force fixture in
+      let distance i = Kademlia.xor_distance key keys.(i) in
+      let reference =
+        List.init (Array.length keys) Fun.id
+        |> List.sort (fun a b -> Key.compare (distance a) (distance b))
+        |> List.filteri (fun i _ -> i < r)
+      in
+      let trie = Dht.Resolver.replicas resolver key r in
+      List.equal Int.equal reference trie
+      || QCheck.Test.fail_reportf "trie [%s], XOR sort [%s]" (show_nodes trie)
+           (show_nodes reference))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -566,4 +729,22 @@ let suite =
         Alcotest.test_case "duplicate join rejected" `Quick kademlia_duplicate_join_rejected;
         Alcotest.test_case "resolver XOR replicas" `Quick kademlia_resolver_replicas_xor_closest;
       ] );
+    ( "dht:resolver",
+      qcheck
+        [
+          resolver_contract "static contract" static_overlay;
+          resolver_contract "chord contract" (fun () -> chord_overlay ~churned:false);
+          resolver_contract "chord contract after churn" (fun () -> chord_overlay ~churned:true);
+          resolver_contract "pastry contract" (fun () -> pastry_overlay ~churned:false);
+          resolver_contract "pastry contract after churn" (fun () ->
+              pastry_overlay ~churned:true);
+          resolver_contract "can contract" (fun () -> can_overlay ~churned:false);
+          resolver_contract "can contract after churn" (fun () -> can_overlay ~churned:true);
+          resolver_contract "kademlia contract" (fun () -> kademlia_overlay ~churned:false);
+          resolver_contract "kademlia contract after churn" (fun () ->
+              kademlia_overlay ~churned:true);
+          kademlia_trie_is_xor_sort "kademlia trie = XOR sort" ~churned:false;
+          kademlia_trie_is_xor_sort "kademlia trie = XOR sort after churn" ~churned:true;
+        ] );
   ]
+

@@ -126,6 +126,51 @@ let key_distance_inverse =
       let ring = 2.0 ** 160.0 in
       Float.abs ((d1 +. d2) -. ring) /. ring < 1e-9)
 
+(* Keys that share a random-length hex prefix, so the XOR primitives are
+   exercised past the first byte. *)
+let arbitrary_related_keys =
+  let open QCheck.Gen in
+  let hex = map (fun d -> String.make 1 "0123456789abcdef".[d]) (int_bound 15) in
+  let hex_string n = map (String.concat "") (list_repeat n hex) in
+  let gen =
+    int_range 0 40 >>= fun shared ->
+    hex_string shared >>= fun prefix ->
+    let key = map (fun suffix -> Key.of_hex (prefix ^ suffix)) (hex_string (40 - shared)) in
+    triple key key key
+  in
+  QCheck.make
+    ~print:(fun (t, a, b) -> String.concat " " (List.map Key.to_hex [ t; a; b ]))
+    gen
+
+let sign x = Int.compare x 0
+
+let key_xor_primitives () =
+  let a = Key.of_int 0b1100 and b = Key.of_int 0b1010 in
+  Alcotest.(check int) "equal keys share every bit" Key.bits (Key.common_prefix_bits a a);
+  Alcotest.(check int) "0b1100 vs 0b1010" 157 (Key.common_prefix_bits a b);
+  Alcotest.(check int) "top bit differs" 0
+    (Key.common_prefix_bits Key.zero (Key.add_pow2 Key.zero 159));
+  Alcotest.(check (list int)) "low bits of 0b1100" [ 1; 1; 0; 0 ]
+    (List.map (Key.bit a) [ 156; 157; 158; 159 ]);
+  Alcotest.(check int) "compare_xor: a is its own closest" (-1)
+    (sign (Key.compare_xor ~target:a a b));
+  Alcotest.(check int) "compare_xor: equal keys tie" 0 (Key.compare_xor ~target:b a a);
+  Alcotest.check_raises "bit bounds" (Invalid_argument "Key.bit: index out of range")
+    (fun () -> ignore (Key.bit a Key.bits))
+
+let key_compare_xor_agrees =
+  QCheck.Test.make ~name:"compare_xor = compare of logxor distances" ~count:500
+    arbitrary_related_keys (fun (t, a, b) ->
+      sign (Key.compare_xor ~target:t a b)
+      = sign (Key.compare (Key.logxor t a) (Key.logxor t b)))
+
+let key_common_prefix_bitwise =
+  QCheck.Test.make ~name:"common_prefix_bits = first differing bit" ~count:500
+    arbitrary_related_keys (fun (_, a, b) ->
+      let rec first i = if i = Key.bits || Key.bit a i <> Key.bit b i then i else first (i + 1) in
+      let cpl = Key.common_prefix_bits a b in
+      cpl = first 0 && (cpl = Key.bits || Key.bit (Key.logxor a b) cpl = 1))
+
 let key_of_string_spread () =
   (* Hashed keys should spread: among 1000 consecutive strings, the top
      eighth of the ring should hold roughly an eighth of the keys. *)
@@ -161,6 +206,13 @@ let suite =
         Alcotest.test_case "wrapping intervals" `Quick key_interval_wrapping;
         Alcotest.test_case "clockwise distance" `Quick key_distance;
         Alcotest.test_case "hashed key spread" `Quick key_of_string_spread;
+        Alcotest.test_case "xor primitives" `Quick key_xor_primitives;
       ]
-      @ qcheck [ key_interval_oc_trichotomy; key_distance_inverse ] );
+      @ qcheck
+          [
+            key_interval_oc_trichotomy;
+            key_distance_inverse;
+            key_compare_xor_agrees;
+            key_common_prefix_bitwise;
+          ] );
   ]
