@@ -1,94 +1,83 @@
-(* Straightforward RFC 3174 implementation over Int32 words.  The message is
-   padded to a multiple of 64 bytes with 0x80, zeros, and the 64-bit bit
-   length; each block updates the five-word chaining state through 80 rounds
-   in four 20-round groups. *)
+(* RFC 3174 over native ints masked to 32 bits (OCaml ints are 63 bits
+   wide, so a 32-bit word, a sum of five of them and a left shift by up
+   to 31 all fit before the mask).  Whole 64-byte blocks are compressed
+   straight out of the input string; only the tail — the last partial
+   block, the 0x80 marker, zeros and the 64-bit bit length, one or two
+   blocks — is copied into a scratch buffer.  Each block updates the
+   five-word chaining state through 80 rounds in four 20-round groups. *)
 
 type digest = string
 
-let rotl32 x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+let mask = 0xFFFF_FFFF
 
-let padded_message s =
-  let len = String.length s in
-  (* Room for the 0x80 marker and the 8-byte length, rounded up to 64. *)
-  let total = ((len + 8) / 64 * 64) + 64 in
-  let b = Bytes.make total '\000' in
-  Bytes.blit_string s 0 b 0 len;
-  Bytes.set b len '\x80';
-  let bitlen = Int64.of_int (len * 8) in
-  for i = 0 to 7 do
-    let shift = (7 - i) * 8 in
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen shift) 0xFFL) in
-    Bytes.set b (total - 8 + i) (Char.chr byte)
+let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+(* The round function plus its constant, for round [t]. *)
+let[@inline] fk t b c d =
+  if t < 20 then ((b land c) lor (lnot b land d)) + 0x5A827999
+  else if t < 40 then (b lxor c lxor d) + 0x6ED9EBA1
+  else if t < 60 then ((b land c) lor (b land d) lor (c land d)) + 0x8F1BBCDC
+  else (b lxor c lxor d) + 0xCA62C1D6
+
+(* One 64-byte block of [src] at [off] into the chaining state [h],
+   using [w] (80 words) as the message schedule. *)
+let[@hot] compress (h : int array) (w : int array) (src : string) off =
+  for t = 0 to 15 do
+    w.(t) <- Int32.to_int (String.get_int32_be src (off + (4 * t))) land mask
   done;
-  b
-
-let word_at b off =
-  let byte i = Int32.of_int (Char.code (Bytes.get b (off + i))) in
-  Int32.logor
-    (Int32.shift_left (byte 0) 24)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 16)
-       (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
+  for t = 16 to 79 do
+    w.(t) <- rotl (w.(t - 3) lxor w.(t - 8) lxor w.(t - 14) lxor w.(t - 16)) 1
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) and e = ref h.(4) in
+  (* Five rounds per iteration, so the five words trade roles by
+     renaming instead of moving. *)
+  for j = 0 to 15 do
+    let t = 5 * j in
+    e := (!e + rotl !a 5 + fk t !b !c !d + w.(t)) land mask;
+    b := rotl !b 30;
+    d := (!d + rotl !e 5 + fk t !a !b !c + w.(t + 1)) land mask;
+    a := rotl !a 30;
+    c := (!c + rotl !d 5 + fk t !e !a !b + w.(t + 2)) land mask;
+    e := rotl !e 30;
+    b := (!b + rotl !c 5 + fk t !d !e !a + w.(t + 3)) land mask;
+    d := rotl !d 30;
+    a := (!a + rotl !b 5 + fk t !c !d !e + w.(t + 4)) land mask;
+    c := rotl !c 30
+  done;
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask
 
 let digest_string s =
-  let msg = padded_message s in
-  let h0 = ref 0x67452301l
-  and h1 = ref 0xEFCDAB89l
-  and h2 = ref 0x98BADCFEl
-  and h3 = ref 0x10325476l
-  and h4 = ref 0xC3D2E1F0l in
-  let w = Array.make 80 0l in
-  let blocks = Bytes.length msg / 64 in
-  for block = 0 to blocks - 1 do
-    let base = block * 64 in
-    for t = 0 to 15 do
-      w.(t) <- word_at msg (base + (t * 4))
-    done;
-    for t = 16 to 79 do
-      w.(t) <-
-        rotl32 (Int32.logxor (Int32.logxor w.(t - 3) w.(t - 8)) (Int32.logxor w.(t - 14) w.(t - 16))) 1
-    done;
-    let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 and e = ref !h4 in
-    for t = 0 to 79 do
-      let f, k =
-        if t < 20 then
-          (Int32.logor (Int32.logand !b !c) (Int32.logand (Int32.lognot !b) !d), 0x5A827999l)
-        else if t < 40 then (Int32.logxor !b (Int32.logxor !c !d), 0x6ED9EBA1l)
-        else if t < 60 then
-          ( Int32.logor
-              (Int32.logand !b !c)
-              (Int32.logor (Int32.logand !b !d) (Int32.logand !c !d)),
-            0x8F1BBCDCl )
-        else (Int32.logxor !b (Int32.logxor !c !d), 0xCA62C1D6l)
-      in
-      let temp = Int32.add (Int32.add (Int32.add (rotl32 !a 5) f) (Int32.add !e k)) w.(t) in
-      e := !d;
-      d := !c;
-      c := rotl32 !b 30;
-      b := !a;
-      a := temp
-    done;
-    h0 := Int32.add !h0 !a;
-    h1 := Int32.add !h1 !b;
-    h2 := Int32.add !h2 !c;
-    h3 := Int32.add !h3 !d;
-    h4 := Int32.add !h4 !e
+  let len = String.length s in
+  let h = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |] in
+  let w = Array.make 80 0 in
+  let whole = len / 64 in
+  for block = 0 to whole - 1 do
+    compress h w s (block * 64)
   done;
+  (* The tail needs room for the 0x80 marker and the 8-byte length. *)
+  let rest = len - (whole * 64) in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string s (whole * 64) tail 0 rest;
+  Bytes.unsafe_set tail rest '\x80';
+  let bitlen = len * 8 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set tail (tail_len - 8 + i)
+      (Char.unsafe_chr ((bitlen lsr ((7 - i) * 8)) land 0xFF))
+  done;
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len = 128 then compress h w tail 64;
   let out = Bytes.create 20 in
-  let store i v =
-    for j = 0 to 3 do
-      let shift = (3 - j) * 8 in
-      Bytes.set out ((i * 4) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v shift) 0xFFl)))
-    done
-  in
-  store 0 !h0;
-  store 1 !h1;
-  store 2 !h2;
-  store 3 !h3;
-  store 4 !h4;
-  Bytes.to_string out
-
+  for i = 0 to 19 do
+    Bytes.unsafe_set out i
+      (Char.unsafe_chr ((h.(i / 4) lsr ((3 - (i land 3)) * 8)) land 0xFF))
+  done;
+  Bytes.unsafe_to_string out
 let hex_digits = "0123456789abcdef"
 
 let to_hex d =

@@ -44,8 +44,26 @@ let range_bindings store ~node ~keys ~render =
       Key.to_hex key ^ "=" ^ Rstore.render_state store ~node key ~render)
     keys
 
+(* [digest (range_bindings ...)] without the per-key strings: the
+   bindings stream into [buf] (cleared first), joined as [digest] joins
+   them.  [hexes] are the keys' hex renderings, in the same order;
+   [render_key i] is the entry renderer used for the [i]th key. *)
+let digest_into buf store ~node ~keys ~hexes ~render_key =
+  Buffer.clear buf;
+  List.iteri
+    (fun i key ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Buffer.add_string buf hexes.(i);
+      Buffer.add_char buf '=';
+      Rstore.render_state_into buf store ~node key ~render:(render_key i))
+    keys;
+  Hashing.Sha1.digest_string (Buffer.contents buf)
+
+let hexes_of keys = Array.of_list (List.map Key.to_hex keys)
+
 let range_digest store ~node ~keys ~render =
-  digest (range_bindings store ~node ~keys ~render)
+  digest_into (Buffer.create 256) store ~node ~keys ~hexes:(hexes_of keys)
+    ~render_key:(fun _ -> render)
 
 (* Group the directory's keys by their replica set.  Keys sharing a
    replica list form one range a coordinator/peer pair can summarize
@@ -65,14 +83,79 @@ let buckets store =
     tbl []
   |> List.rev
 
+(* One range's per-key memos of [render] and of the full-state price,
+   shared by every replica the range's exchanges touch.  Replicas of a
+   key mostly hold the very same values, so each value is rendered and
+   priced once per range rather than once per replica.  A memo entry is
+   reused only for a physically identical value (or value list), which
+   makes it exact for any [render]/[entry_bytes] that are functions of
+   the value; a miss recomputes. *)
+type 'v range_memo = {
+  renders : ('v * string) array array; (* per key: the first replica's, in render order *)
+  recorded : ('v * string) list array; (* per key: the first replica's, newest first *)
+  priced : ('v list * int) array; (* per key: the last value list priced, and its bytes *)
+}
+
+let range_memo n =
+  { renders = Array.make n [||]; recorded = Array.make n []; priced = Array.make n ([], 0) }
+
+(* The renderer for key [i]: the first replica rendered records the
+   key's renderings; later ones reuse the one at the same position when
+   it is of the same value. *)
+let memo_render memo ~render i =
+  (match memo.recorded.(i) with
+  | [] -> ()
+  | recorded ->
+      memo.renders.(i) <- Array.of_list (List.rev recorded);
+      memo.recorded.(i) <- []);
+  let seen = memo.renders.(i) in
+  if Array.length seen = 0 then
+    fun v ->
+      let s = render v in
+      memo.recorded.(i) <- (v, s) :: memo.recorded.(i);
+      s
+  else
+    let pos = ref 0 in
+    fun v ->
+      let j = !pos in
+      incr pos;
+      (* lint: allow phys-equal — identity only gates reuse of a pure function's result; a miss re-renders *)
+      if j < Array.length seen && fst seen.(j) == v then snd seen.(j) else render v
+
+(* One replica's share of a full-state push-pull over the range: the
+   raw entries it holds, expiry not consulted. *)
+let full_bytes memo store ~node ~keys ~entry_bytes =
+  let sum = ref 0 in
+  List.iteri
+    (fun i key ->
+      let values = Rstore.entry_values store ~node key in
+      let seen, bytes = memo.priced.(i) in
+      (* lint: allow phys-equal — identity only gates reuse of a pure function's result; a miss re-prices *)
+      if List.equal ( == ) values seen then sum := !sum + bytes
+      else begin
+        let bytes = List.fold_left (fun b v -> b + entry_bytes v) 0 values in
+        memo.priced.(i) <- (values, bytes);
+        sum := !sum + bytes
+      end)
+    keys;
+  !sum
+
 let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
     ?(on_ship = fun ~node:_ ~bytes:_ -> ()) () =
   let liveness = Rstore.liveness store in
+  let buf = Buffer.create 4096 in
   List.fold_left
     (fun acc (replicas, keys) ->
       match List.filter (Dht.Liveness.alive liveness) replicas with
       | [] | [ _ ] -> acc (* nobody to exchange with *)
       | coordinator :: peers ->
+          let hexes = hexes_of keys in
+          let memo = range_memo (Array.length hexes) in
+          let digest_of node =
+            digest_into buf store ~node ~keys ~hexes ~render_key:(memo_render memo ~render)
+          in
+          let full_of node = full_bytes memo store ~node ~keys ~entry_bytes in
+          let coord_full = ref None and coord_digest = ref None in
           List.fold_left
             (fun acc peer ->
               (* Push-pull digest exchange: the coordinator sends its
@@ -83,20 +166,27 @@ let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
                 { acc with exchanges = acc.exchanges + 1; digest_bytes = acc.digest_bytes + bytes }
               in
               (* What a digestless full-state push-pull would have moved
-                 on this same divergence: both sides' entire ranges. *)
-              let full =
-                List.fold_left
-                  (fun sum key ->
-                    List.fold_left
-                      (fun sum v -> sum + entry_bytes v)
-                      sum
-                      (Rstore.entry_values store ~node:coordinator key
-                      @ Rstore.entry_values store ~node:peer key))
-                  0 keys
+                 on this same divergence: both sides' entire ranges,
+                 summed before either side's render prunes it. *)
+              let cf =
+                match !coord_full with
+                | Some b -> b
+                | None ->
+                    let b = full_of coordinator in
+                    coord_full := Some b;
+                    b
               in
-              let acc = { acc with full_state_bytes = acc.full_state_bytes + full } in
-              let dc = range_digest store ~node:coordinator ~keys ~render in
-              let dp = range_digest store ~node:peer ~keys ~render in
+              let acc = { acc with full_state_bytes = acc.full_state_bytes + cf + full_of peer } in
+              let dc =
+                match !coord_digest with
+                | Some d -> d
+                | None ->
+                    let d = digest_of coordinator in
+                    coord_digest := Some d;
+                    coord_full := None;
+                    d
+              in
+              let dp = digest_of peer in
               if String.equal dc dp then
                 { acc with digest_matches = acc.digest_matches + 1 }
               else
@@ -109,6 +199,10 @@ let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
                       let repairs =
                         Rstore.sync_key store ~key ~nodes:[ coordinator; peer ]
                       in
+                      if List.exists (fun (node, _) -> node = coordinator) repairs then begin
+                        coord_full := None;
+                        coord_digest := None
+                      end;
                       let shipped, entries =
                         List.fold_left
                           (fun (bytes, entries) (node, gained) ->

@@ -105,14 +105,18 @@ let get_state table key =
       Hashtbl.add table key st;
       st
 
-(* Unexpired entries under [key] in [table], pruning expired ones in
-   place so tables do not accumulate dead soft state. *)
+(* Drop a state's expired entries in place, so tables do not
+   accumulate dead soft state. *)
+let prune t st =
+  if List.exists (expired t) st.entries then
+    st.entries <- List.filter (fun e -> not (expired t e)) st.entries
+
+(* Unexpired entries under [key] in [table], pruned in place. *)
 let live_entries t table key =
   match Hashtbl.find_opt table key with
   | None -> []
   | Some st ->
-      let kept = List.filter (fun e -> not (expired t e)) st.entries in
-      if List.compare_lengths kept st.entries <> 0 then st.entries <- kept;
+      prune t st;
       st.entries
 
 let values entries = List.map (fun e -> e.value) entries
@@ -285,23 +289,60 @@ let drop_state t node =
 
 let clone_entries entries = List.map (fun e -> { e with value = e.value }) entries
 
+(* Membership in [values] under polymorphic equality, linear overall:
+   short lists are scanned, longer ones are bucketed by [Hashtbl.hash]
+   (values equal under [=] hash equally) and only a bucket is scanned. *)
+module Hash_buckets = Hashtbl.Make (Int)
+
+let member values =
+  match values with
+  | [] -> fun _ -> false
+  | _ when List.compare_length_with values 8 <= 0 ->
+      fun v -> List.exists (fun x -> x = v) values
+  | _ ->
+      let buckets = Hash_buckets.create (List.length values) in
+      List.iter
+        (fun x ->
+          let h = Hashtbl.hash x in
+          let prev = Option.value ~default:[] (Hash_buckets.find_opt buckets h) in
+          Hash_buckets.replace buckets h (x :: prev))
+        values;
+      fun v ->
+        match Hash_buckets.find_opt buckets (Hashtbl.hash v) with
+        | None -> false
+        | Some xs -> List.exists (fun x -> x = v) xs
+
+(* Entries of [from] whose value [into] does not hold, in [from]'s
+   order.  Identical value lists — every replica of a quiet key — take
+   the fast path without building a membership table. *)
+let missing_from ~into from =
+  if List.equal (fun x y -> x.value = y.value) into from then []
+  else
+    let held = member (values into) in
+    List.filter (fun e -> not (held e.value)) from
+
+(* The merged state shares entry records with its inputs: callers only
+   read it, and {!quorum_read} clones it onto every replica it repairs. *)
 let merge_states a b =
   let version = Version.merge a.version b.version in
   match Version.compare a.version b.version with
-  | Version.Dominates -> { entries = clone_entries a.entries; tombs = a.tombs; version }
-  | Version.Dominated -> { entries = clone_entries b.entries; tombs = b.tombs; version }
+  | Version.Dominates -> { a with version }
+  | Version.Dominated -> { b with version }
   | Version.Eq | Version.Concurrent ->
       let tombs =
-        a.tombs @ List.filter (fun v -> not (List.exists (fun tv -> tv = v) a.tombs)) b.tombs
+        match b.tombs with
+        | [] -> a.tombs
+        | _ ->
+            let in_a = member a.tombs in
+            a.tombs @ List.filter (fun v -> not (in_a v)) b.tombs
       in
+      let entries = a.entries @ missing_from ~into:a.entries b.entries in
       let entries =
-        clone_entries a.entries
-        @ List.filter
-            (fun e -> not (List.exists (fun e' -> e'.value = e.value) a.entries))
-            (clone_entries b.entries)
-      in
-      let entries =
-        List.filter (fun e -> not (List.exists (fun tv -> tv = e.value) tombs)) entries
+        match tombs with
+        | [] -> entries
+        | _ ->
+            let dead = member tombs in
+            List.filter (fun e -> not (dead e.value)) entries
       in
       { entries; tombs; version }
 
@@ -337,13 +378,7 @@ let quorum_read t ~key ~nodes =
           (fun (node, st) ->
             if state_equal st merged then None
             else begin
-              let gained =
-                List.filter
-                  (fun e ->
-                    not (List.exists (fun e' -> e'.value = e.value) st.entries))
-                  merged.entries
-                |> List.map (fun e -> e.value)
-              in
+              let gained = values (missing_from ~into:st.entries merged.entries) in
               let target = get_state t.tables.(node) key in
               target.entries <- clone_entries merged.entries;
               target.tombs <- merged.tombs;
@@ -364,20 +399,54 @@ let sync_key t ~key ~nodes =
 
 let sorted_keys t = Stdx.Det_tbl.sorted_keys ~compare:Key.compare t.directory
 
-let render_state t ~node key ~render =
-  ignore (live_entries t t.tables.(node) key : 'v entry list);
-  match state_at t ~node key with
-  | None -> ""
+(* What [Printf.sprintf "%h"] calls: the shortest exact hexadecimal
+   rendering, '-' signed, "infinity" for infinity. *)
+external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
+
+let render_state_into buf t ~node key ~render =
+  match Hashtbl.find_opt t.tables.(node) key with
+  | None -> ()
   | Some st ->
-      let entry e = Printf.sprintf "%s@%h" (render e.value) e.expires_at in
-      String.concat ";" (List.map entry st.entries)
-      ^ "!"
-      ^ String.concat ";" (List.map render st.tombs)
-      ^ "!"
-      ^ Version.to_string st.version
+      prune t st;
+      List.iteri
+        (fun i e ->
+          if i > 0 then Buffer.add_char buf ';';
+          Buffer.add_string buf (render e.value);
+          Buffer.add_char buf '@';
+          Buffer.add_string buf (hexstring_of_float e.expires_at (-6) '-'))
+        st.entries;
+      Buffer.add_char buf '!';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ';';
+          Buffer.add_string buf (render v))
+        st.tombs;
+      Buffer.add_char buf '!';
+      Version.render_into buf st.version
+
+let render_state t ~node key ~render =
+  let buf = Buffer.create 64 in
+  render_state_into buf t ~node key ~render;
+  Buffer.contents buf
 
 let entry_values t ~node key =
   match state_at t ~node key with Some st -> values st.entries | None -> []
+
+type 'v state_view = {
+  view_entries : ('v * float) list;
+  view_tombs : 'v list;
+  view_version : Version.t;
+}
+
+let state_view t ~node key =
+  Option.map
+    (fun st ->
+      {
+        view_entries = List.map (fun e -> (e.value, e.expires_at)) st.entries;
+        view_tombs = st.tombs;
+        view_version = st.version;
+      })
+    (state_at t ~node key)
 
 let repair ?(on_restore = fun ~node:_ _ -> ()) t =
   let restored = ref 0 in

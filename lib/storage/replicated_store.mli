@@ -210,12 +210,30 @@ val fold :
 val sorted_keys : 'v t -> Hashing.Key.t list
 (** Every registered key, in {!Hashing.Key.compare} order. *)
 
+val render_state_into :
+  Buffer.t -> 'v t -> node:int -> Hashing.Key.t -> render:('v -> string) -> unit
+(** Append the canonical rendering of one replica's state for a key to
+    the buffer — entries (with expiries), tombstones and version;
+    nothing when the node holds no state.  Two replicas render
+    identically iff their states are identical, which is what the
+    anti-entropy digests hash.  Expired entries are pruned first. *)
+
 val render_state : 'v t -> node:int -> Hashing.Key.t -> render:('v -> string) -> string
-(** Canonical rendering of one replica's state for a key — entries (with
-    expiries), tombstones and version; [""] when the node holds no
-    state.  Two replicas render identically iff their states are
-    identical, which is what the anti-entropy digests hash. *)
+(** {!render_state_into} as a string ([""] when the node holds no
+    state). *)
 
 val entry_values : 'v t -> node:int -> Hashing.Key.t -> 'v list
 (** The raw entry values a node physically holds for the key (expiry not
     consulted) — the volume a full-state exchange would ship. *)
+
+type 'v state_view = {
+  view_entries : ('v * float) list;  (** Value and expiry, most recent first. *)
+  view_tombs : 'v list;
+  view_version : Version.t;
+}
+
+val state_view : 'v t -> node:int -> Hashing.Key.t -> 'v state_view option
+(** One replica's state for the key exactly as stored — expired entries
+    included, nothing pruned; [None] when the node holds no state.  An
+    oracle view for checking the merge and repair paths against a
+    reference model. *)

@@ -67,6 +67,18 @@ let equal a b = compare a b = Eq
 let dots = List.length
 let dominates_or_eq a b = match compare a b with Eq | Dominates -> true | _ -> false
 
+let render_into buf t =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (a, n) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int a);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int n))
+    t;
+  Buffer.add_char buf '}'
+
 let to_string t =
-  let dot (a, n) = Printf.sprintf "%d:%d" a n in
-  "{" ^ String.concat "," (List.map dot t) ^ "}"
+  let buf = Buffer.create 16 in
+  render_into buf t;
+  Buffer.contents buf

@@ -42,6 +42,9 @@ val dots : t -> int
 val dominates_or_eq : t -> t -> bool
 (** [compare a b] is [Eq] or [Dominates] — "a is at least as new". *)
 
+val render_into : Buffer.t -> t -> unit
+(** Append the canonical rendering ["{actor:count,...}"]; equal vectors
+    render identically, which the anti-entropy digests rely on. *)
+
 val to_string : t -> string
-(** Canonical rendering ["{actor:count,...}"]; equal vectors render
-    identically, which the anti-entropy digests rely on. *)
+(** {!render_into} as a string. *)

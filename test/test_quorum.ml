@@ -316,6 +316,444 @@ let anti_entropy_converges () =
     (stats.exchanges + again.exchanges) sum.exchanges
 
 (* ------------------------------------------------------------------ *)
+(* Differential checks.  The anti-entropy pass memoizes each replica's
+   range digest and full-state share, and the quorum merge uses hashed
+   membership; both must behave exactly like the straightforward
+   versions below — the per-exchange pass and the quadratic merge —
+   kept here as references over the store's public surface. *)
+
+let reference_digest store ~node ~keys =
+  Hashing.Sha1.digest_string
+    (String.concat "\n"
+       (List.map
+          (fun key ->
+            Key.to_hex key ^ "=" ^ Replicated.render_state store ~node key ~render:Fun.id)
+          keys))
+
+let reference_buckets store =
+  let tbl : (int list, Key.t list) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun key ->
+      let replicas = Replicated.replica_nodes store key in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl replicas) in
+      Hashtbl.replace tbl replicas (key :: prev))
+    (Replicated.sorted_keys store);
+  Stdx.Det_tbl.fold_sorted ~compare:(List.compare Int.compare)
+    (fun replicas keys acc -> (replicas, List.rev keys) :: acc)
+    tbl []
+  |> List.rev
+
+(* Every exchange re-sums both sides' full state and re-digests both
+   sides, in the original order. *)
+let reference_anti_entropy store ~entry_bytes ~on_exchange ~on_ship =
+  let open Anti_entropy in
+  let liveness = Replicated.liveness store in
+  List.fold_left
+    (fun acc (replicas, keys) ->
+      match List.filter (Dht.Liveness.alive liveness) replicas with
+      | [] | [ _ ] -> acc
+      | coordinator :: peers ->
+          List.fold_left
+            (fun acc peer ->
+              let bytes = 2 * (48 + 20) (* two digest messages *) in
+              on_exchange ~peer ~bytes;
+              let acc =
+                { acc with exchanges = acc.exchanges + 1; digest_bytes = acc.digest_bytes + bytes }
+              in
+              let full =
+                List.fold_left
+                  (fun sum key ->
+                    List.fold_left
+                      (fun sum v -> sum + entry_bytes v)
+                      sum
+                      (Replicated.entry_values store ~node:coordinator key
+                      @ Replicated.entry_values store ~node:peer key))
+                  0 keys
+              in
+              let acc = { acc with full_state_bytes = acc.full_state_bytes + full } in
+              let dc = reference_digest store ~node:coordinator ~keys in
+              let dp = reference_digest store ~node:peer ~keys in
+              if String.equal dc dp then { acc with digest_matches = acc.digest_matches + 1 }
+              else
+                List.fold_left
+                  (fun acc key ->
+                    let render node = Replicated.render_state store ~node key ~render:Fun.id in
+                    if String.equal (render coordinator) (render peer) then acc
+                    else begin
+                      let repairs = Replicated.sync_key store ~key ~nodes:[ coordinator; peer ] in
+                      let shipped, entries =
+                        List.fold_left
+                          (fun (bytes, entries) (node, gained) ->
+                            let b = List.fold_left (fun b v -> b + entry_bytes v) 0 gained in
+                            if b > 0 then on_ship ~node ~bytes:b;
+                            (bytes + b, entries + List.length gained))
+                          (0, 0) repairs
+                      in
+                      {
+                        acc with
+                        keys_shipped = acc.keys_shipped + 1;
+                        entries_shipped = acc.entries_shipped + entries;
+                        shipped_bytes = acc.shipped_bytes + shipped;
+                      }
+                    end)
+                  acc keys)
+            acc peers)
+    zero_stats (reference_buckets store)
+
+(* One replica state, as the reference merge sees it. *)
+type ref_state = {
+  r_entries : (string * float) list;
+  r_tombs : string list;
+  r_version : Version.t;
+}
+
+let ref_empty = { r_entries = []; r_tombs = []; r_version = Version.zero }
+
+(* Which merge cases the random histories reached, for the coverage
+   check below. *)
+type merge_coverage = {
+  mutable eq : int;
+  mutable concurrent : int;
+  mutable dominance : int;
+  mutable diverged_union : int; (* Eq/Concurrent with different entry lists *)
+  mutable long_union : int; (* ... and more than 8 entries on a side *)
+  mutable duplicates : int; (* an entry list holding a value twice *)
+  mutable both_tombed : int; (* tombstones on both sides *)
+}
+
+let coverage =
+  {
+    eq = 0;
+    concurrent = 0;
+    dominance = 0;
+    diverged_union = 0;
+    long_union = 0;
+    duplicates = 0;
+    both_tombed = 0;
+  }
+
+let has_duplicates entries =
+  let values = List.map fst entries in
+  List.length (List.sort_uniq String.compare values) < List.length values
+
+let reference_merge a b =
+  let version = Version.merge a.r_version b.r_version in
+  match Version.compare a.r_version b.r_version with
+  | Version.Dominates ->
+      coverage.dominance <- coverage.dominance + 1;
+      { a with r_version = version }
+  | Version.Dominated ->
+      coverage.dominance <- coverage.dominance + 1;
+      { b with r_version = version }
+  | (Version.Eq | Version.Concurrent) as rel ->
+      if rel = Version.Eq then coverage.eq <- coverage.eq + 1
+      else coverage.concurrent <- coverage.concurrent + 1;
+      if List.map fst a.r_entries <> List.map fst b.r_entries then begin
+        coverage.diverged_union <- coverage.diverged_union + 1;
+        if List.length a.r_entries > 8 || List.length b.r_entries > 8 then
+          coverage.long_union <- coverage.long_union + 1
+      end;
+      if has_duplicates a.r_entries || has_duplicates b.r_entries then
+        coverage.duplicates <- coverage.duplicates + 1;
+      if a.r_tombs <> [] && b.r_tombs <> [] then
+        coverage.both_tombed <- coverage.both_tombed + 1;
+      let tombs =
+        a.r_tombs @ List.filter (fun v -> not (List.exists (fun tv -> tv = v) a.r_tombs)) b.r_tombs
+      in
+      let entries =
+        a.r_entries
+        @ List.filter
+            (fun (v, _) -> not (List.exists (fun (v', _) -> v' = v) a.r_entries))
+            b.r_entries
+      in
+      let entries =
+        List.filter (fun (v, _) -> not (List.exists (fun tv -> tv = v) tombs)) entries
+      in
+      { r_entries = entries; r_tombs = tombs; r_version = version }
+
+let ref_state_equal a b =
+  Version.equal a.r_version b.r_version && a.r_entries = b.r_entries && a.r_tombs = b.r_tombs
+
+let ref_of_view (v : string Replicated.state_view) =
+  { r_entries = v.view_entries; r_tombs = v.view_tombs; r_version = v.view_version }
+
+(* The state a live replica serves at time [now]: expired entries
+   pruned, as the store prunes before merging. *)
+let ref_state_at store ~now ~node key =
+  match Replicated.state_view store ~node key with
+  | None -> None
+  | Some v ->
+      let st = ref_of_view v in
+      Some { st with r_entries = List.filter (fun (_, exp) -> exp > now) st.r_entries }
+
+(* The original quorum read: values, version, repairs, and the state
+   every consulted live replica must hold afterwards. *)
+let reference_quorum_read store ~now ~key ~nodes =
+  let states =
+    List.filter_map
+      (fun node ->
+        if Replicated.alive store node then Some (node, ref_state_at store ~now ~node key)
+        else None)
+      nodes
+  in
+  match states with
+  | [] -> (([], Version.zero, []), [])
+  | (_, first) :: rest ->
+      let state = Option.value ~default:ref_empty in
+      let merged =
+        List.fold_left (fun acc (_, st) -> reference_merge acc (state st)) (state first) rest
+      in
+      let repairs =
+        List.filter_map
+          (fun (node, st) ->
+            let st = state st in
+            if ref_state_equal st merged then None
+            else
+              let gained =
+                List.filter
+                  (fun (v, _) -> not (List.exists (fun (v', _) -> v' = v) st.r_entries))
+                  merged.r_entries
+              in
+              Some (node, List.map fst gained))
+          states
+      in
+      let after =
+        List.map
+          (fun (node, st) ->
+            if List.mem_assoc node repairs then (node, Some merged) else (node, st))
+          states
+      in
+      ((List.map fst merged.r_entries, merged.r_version, repairs), after)
+
+(* Random store histories over a 6-node ring: writes with and without
+   TTLs (duplicates allowed), removes leaving tombstones, fail/revive
+   and state loss, clock advances past TTLs, repair passes, quorum reads
+   over a subset of a key's replicas, and anti-entropy rounds. *)
+type op =
+  | Insert of int * int * float (* key, value, TTL *)
+  | Refresh of int * int * float
+  | Missed of int * int * int (* key, replica index, value: a write that replica sleeps through *)
+  | Remove of int * int (* key, value class *)
+  | Fail of int
+  | Revive of int
+  | Drop of int
+  | Advance of float
+  | Repair
+  | Read of int * int * bool (* key, replica mask, sync only *)
+  | Anti_entropy_round
+
+let history_nodes = 6
+let history_keys = 4
+let history_values = 16
+let hkey i = k (Printf.sprintf "hist-%d" i)
+(* Values differ in length (so they differ in price) and fall into four
+   classes a removal targets together. *)
+let hvalue i = Printf.sprintf "%c%d%s" "abcd".[i mod 4] i (String.make (i mod 3) '+')
+let in_class c v = Char.equal v.[0] "abcd".[c]
+
+let show_op = function
+  | Insert (key, v, ttl) -> Printf.sprintf "insert k%d %s ttl=%g" key (hvalue v) ttl
+  | Refresh (key, v, ttl) -> Printf.sprintf "refresh k%d %s ttl=%g" key (hvalue v) ttl
+  | Missed (key, i, v) -> Printf.sprintf "missed k%d replica %d %s" key i (hvalue v)
+  | Remove (key, c) -> Printf.sprintf "remove k%d class %c" key "abcd".[c]
+  | Fail n -> Printf.sprintf "fail %d" n
+  | Revive n -> Printf.sprintf "revive %d" n
+  | Drop n -> Printf.sprintf "drop %d" n
+  | Advance d -> Printf.sprintf "advance %g" d
+  | Repair -> "repair"
+  | Read (key, mask, sync) -> Printf.sprintf "%s k%d mask=%d" (if sync then "sync" else "read") key mask
+  | Anti_entropy_round -> "anti-entropy"
+
+let history_gen =
+  let open QCheck.Gen in
+  let key = int_bound (history_keys - 1) and node = int_bound (history_nodes - 1) in
+  (* Few values per key, so duplicates and shared values are common. *)
+  let value = int_bound (history_values - 1) in
+  let ttl = frequency [ (1, return infinity); (1, float_range 2.0 12.0) ] in
+  let op =
+    frequency
+      [
+        (8, map3 (fun k v t -> Insert (k, v, t)) key value ttl);
+        (3, map3 (fun k v t -> Refresh (k, v, t)) key value ttl);
+        (3, map3 (fun k i v -> Missed (k, i, v)) key (int_bound 4) value);
+        (3, map2 (fun k c -> Remove (k, c)) key (int_bound 3));
+        (3, map (fun n -> Fail n) node);
+        (3, map (fun n -> Revive n) node);
+        (1, map (fun n -> Drop n) node);
+        (2, map (fun d -> Advance d) (float_range 0.5 6.0));
+        (1, return Repair);
+        (3, map3 (fun k m s -> Read (k, m, s)) key (int_bound 31) bool);
+        (2, return Anti_entropy_round);
+      ]
+  in
+  pair (int_range 3 5) (list_size (int_range 10 120) op)
+
+let history_arb =
+  QCheck.make history_gen ~print:(fun (replication, ops) ->
+      Printf.sprintf "replication %d: %s" replication (String.concat "; " (List.map show_op ops)))
+
+let history_store ~replication =
+  let now = ref 0.0 in
+  let store : string Replicated.t =
+    Replicated.create ~resolver:(resolver history_nodes) ~replication
+      ~clock:(fun () -> !now) ()
+  in
+  (store, now)
+
+let apply_op store now = function
+  | Insert (key, v, ttl) -> Replicated.insert ~expires_at:(!now +. ttl) store ~key:(hkey key) (hvalue v)
+  | Refresh (key, v, ttl) ->
+      ignore
+        (Replicated.insert_unique ~expires_at:(!now +. ttl) ~equal:String.equal store
+           ~key:(hkey key) (hvalue v)
+          : bool)
+  | Missed (key, i, v) ->
+      (* Two of these on one key with different sleepers leave the two
+         replicas with concurrent versions. *)
+      let replicas = Replicated.replica_nodes store (hkey key) in
+      let sleeper = List.nth replicas (i mod List.length replicas) in
+      if Replicated.alive store sleeper then begin
+        Replicated.fail_node store sleeper;
+        Replicated.insert store ~key:(hkey key) (hvalue v);
+        Replicated.revive_node store sleeper
+      end
+  | Remove (key, c) -> ignore (Replicated.remove store ~key:(hkey key) (in_class c) : int)
+  | Fail n -> Replicated.fail_node store n
+  | Revive n -> Replicated.revive_node store n
+  | Drop n -> Replicated.drop_state store n
+  | Advance d -> now := !now +. d
+  | Repair -> ignore (Replicated.repair store : int)
+  | Read _ | Anti_entropy_round -> ()
+
+let entry_bytes v = 40 + String.length v
+
+(* Every node's canonical state for every key of the pool. *)
+let all_renders store =
+  List.init history_nodes (fun node ->
+      List.init history_keys (fun key ->
+          Replicated.render_state store ~node (hkey key) ~render:Fun.id))
+
+type ae_event = Exchange of int * int | Ship of int * int
+
+let anti_entropy_matches_reference =
+  QCheck.Test.make ~name:"memoized anti-entropy = per-exchange reference" ~count:300
+    history_arb (fun (replication, ops) ->
+      let subject, now_s = history_store ~replication in
+      let reference, now_r = history_store ~replication in
+      let round () =
+        let log_s = ref [] and log_r = ref [] in
+        let logger log =
+          ( (fun ~peer ~bytes -> log := Exchange (peer, bytes) :: !log),
+            fun ~node ~bytes -> log := Ship (node, bytes) :: !log )
+        in
+        let on_exchange, on_ship = logger log_s in
+        let stats_s =
+          Anti_entropy.run subject ~render:Fun.id ~entry_bytes ~on_exchange ~on_ship ()
+        in
+        let on_exchange, on_ship = logger log_r in
+        let stats_r = reference_anti_entropy reference ~entry_bytes ~on_exchange ~on_ship in
+        stats_s = stats_r && !log_s = !log_r && all_renders subject = all_renders reference
+      in
+      List.for_all
+        (fun op ->
+          apply_op subject now_s op;
+          apply_op reference now_r op;
+          match op with Anti_entropy_round -> round () | _ -> true)
+        ops
+      && round ())
+
+let quorum_views store ~nodes ~key =
+  List.map (fun node -> (node, Option.map ref_of_view (Replicated.state_view store ~node key))) nodes
+
+(* Runs one history, checking every quorum read / sync against the
+   reference merge: values in order, version, repairs, and the states
+   the consulted replicas hold afterwards. *)
+let quorum_history_ok (replication, ops) =
+  let store, now = history_store ~replication in
+  let r = resolver history_nodes in
+  List.for_all
+    (fun op ->
+      apply_op store now op;
+      match op with
+      | Read (key, mask, sync) ->
+          let key = hkey key in
+          let nodes =
+            List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Dht.Resolver.replicas r key replication)
+          in
+          let (values, version, repairs), after =
+            reference_quorum_read store ~now:!now ~key ~nodes
+          in
+          let result_ok =
+            if sync then Replicated.sync_key store ~key ~nodes = repairs
+            else
+              let values', version', repairs' = Replicated.quorum_read store ~key ~nodes in
+              values' = values && Version.equal version' version && repairs' = repairs
+          in
+          let live = List.filter (Replicated.alive store) nodes in
+          result_ok && quorum_views store ~nodes:live ~key = after
+      | _ -> true)
+    ops
+
+let quorum_merge_matches_reference =
+  QCheck.Test.make ~name:"linear quorum merge = quadratic reference" ~count:300 history_arb
+    quorum_history_ok
+
+(* The random histories must reach every merge case the fast paths
+   split on; a fixed-seed batch pins that coverage. *)
+let quorum_merge_coverage () =
+  (* lint: allow ambient-nondeterminism — a fixed seed; QCheck generators draw from Random.State *)
+  let rand = Random.State.make [| 13 |] in
+  for i = 1 to 400 do
+    let history = QCheck.Gen.generate1 ~rand history_gen in
+    if not (quorum_history_ok history) then
+      Alcotest.failf "history %d diverged from the reference: %s" i
+        (Option.get history_arb.QCheck.print history)
+  done;
+  let reached what n = Alcotest.(check bool) what true (n > 0) in
+  reached "equal versions" coverage.eq;
+  reached "concurrent versions" coverage.concurrent;
+  reached "dominance" coverage.dominance;
+  reached "entry union of diverged lists" coverage.diverged_union;
+  reached "union over more than 8 entries" coverage.long_union;
+  reached "duplicate values" coverage.duplicates;
+  reached "tombstones on both sides" coverage.both_tombed
+
+(* The documented spec: a range digest is the digest of its bindings. *)
+let range_digest_is_digest_of_bindings =
+  QCheck.Test.make ~name:"range_digest = digest (range_bindings ...)" ~count:200
+    QCheck.(pair history_arb (int_bound (history_nodes - 1)))
+    (fun ((replication, ops), node) ->
+      let store, now = history_store ~replication in
+      List.iter (apply_op store now) ops;
+      let keys = List.init history_keys hkey in
+      String.equal
+        (Anti_entropy.range_digest store ~node ~keys ~render:Fun.id)
+        (Anti_entropy.digest (Anti_entropy.range_bindings store ~node ~keys ~render:Fun.id)))
+
+(* The canonical rendering the digests hash, pinned: entries with
+   hexadecimal expiries (as [%h] prints them), tombstones, version. *)
+let render_state_format () =
+  let now = ref 0.0 in
+  let store : string Replicated.t =
+    Replicated.create ~resolver:(resolver 4) ~replication:1 ~clock:(fun () -> !now) ()
+  in
+  let key = k "pinned" in
+  let node = Replicated.node_of store key in
+  Replicated.insert store ~key "a";
+  Replicated.insert ~expires_at:10.0 store ~key "b";
+  Replicated.insert ~expires_at:0.1 store ~key "c";
+  ignore (Replicated.remove store ~key (String.equal "c") : int);
+  Replicated.insert ~expires_at:2.5 store ~key "d";
+  Alcotest.(check string) "entries, tombstones, version"
+    "d@0x1.4p+1;b@0x1.4p+3;a@infinity!c!{0:5}"
+    (Replicated.render_state store ~node key ~render:Fun.id);
+  now := 5.0;
+  Alcotest.(check string) "expired entries pruned first" "b@0x1.4p+3;a@infinity!c!{0:5}"
+    (Replicated.render_state store ~node key ~render:Fun.id);
+  Alcotest.(check string) "no state renders empty" ""
+    (Replicated.render_state store ~node (k "absent") ~render:Fun.id)
+
+(* ------------------------------------------------------------------ *)
 (* Runner: the degeneration equality and the R-sweep monotonicity the
    issue pins. *)
 
@@ -481,7 +919,16 @@ let suite =
       [
         Alcotest.test_case "diverged replicas converge below full-state cost"
           `Quick anti_entropy_converges;
-      ] );
+        Alcotest.test_case "canonical state rendering pinned" `Quick render_state_format;
+        Alcotest.test_case "merge differential reaches every case" `Quick
+          quorum_merge_coverage;
+      ]
+      @ qcheck
+          [
+            anti_entropy_matches_reference;
+            quorum_merge_matches_reference;
+            range_digest_is_digest_of_bindings;
+          ] );
     ( "quorum:runner",
       [
         Alcotest.test_case "inactive quorum = plain run, byte for byte" `Quick
