@@ -27,6 +27,10 @@ lint-typed:
 test:
 	dune runtest
 
+# The experiments the bench-smoke report and its committed baseline
+# cover: one list, so the gate and the baseline cannot drift apart.
+BENCH_EXPERIMENTS = table1,fig7,concurrency-sweep,prefix-sweep,quorum-sweep,scale-sweep
+
 # Reduced-scale structured bench report: a grid-backed table, a
 # workload-only figure, the concurrent engine's coalescing sweep, the
 # routed prefix/multicast trade-off curve, the quorum consistency
@@ -36,7 +40,7 @@ test:
 # fields).
 bench-json:
 	dune exec bench/main.exe -- --quick \
-	  --experiment table1,fig7,concurrency-sweep,prefix-sweep,quorum-sweep,scale-sweep \
+	  --experiment $(BENCH_EXPERIMENTS) \
 	  --json-out BENCH_smoke.json
 
 # Refresh the committed regression-gate baseline.  Run this (and commit
@@ -45,7 +49,7 @@ bench-json:
 # across them.
 bench-baseline:
 	dune exec bench/main.exe -- --quick \
-	  --experiment table1,fig7,concurrency-sweep,prefix-sweep,quorum-sweep,scale-sweep \
+	  --experiment $(BENCH_EXPERIMENTS) \
 	  --json-out bench/baseline/BENCH_baseline.json
 
 # Reduced-scale reproduction smoke + regression gate: emit the report,

@@ -1133,596 +1133,43 @@ let scale_sweep scale =
       })
     (scale_sweep_ladder scale)
 
-(* ------------------------------------------------------------------ *)
-(* Rendering.  Each [render_*] takes the precomputed data, so a single
-   computation can feed both the printed table and the bench-report
-   metrics ({!run_experiment}) without running the simulation twice. *)
-
-let heading title =
-  Printf.printf "\n=== %s ===\n" title
-
-let render_fig7 (data : mix_row list) =
-  heading "Fig. 7 — Query-structure mix (model vs generated workload)";
-  let rows =
-    List.map
-      (fun (r : mix_row) ->
-        [ r.structure; Tabular.fmt_pct r.model; Tabular.fmt_pct r.observed ])
-      data
-  in
-  Tabular.print_table ~headers:[ "structure"; "model (BibFinder)"; "observed" ] ~rows
-
-let print_fig7 scale = render_fig7 (fig7_query_mix scale)
-
-let render_fig9 (s : popularity_series) =
-  heading "Fig. 9 — Article popularity (log-log rank/probability)";
-  let rows =
-    List.map
-      (fun rank ->
-        let model = List.assoc rank s.article_probability in
-        let obs = List.assoc rank s.observed_frequency in
-        [ string_of_int rank; Printf.sprintf "%.6f" model; Printf.sprintf "%.6f" obs ])
-      s.ranks
-  in
-  Tabular.print_table ~headers:[ "rank"; "model p(i)"; "observed freq" ] ~rows;
-  Printf.printf "article log-log slope: %.3f (power law; paper reports a power-law family)\n"
-    s.fitted_slope;
-  let author_rows =
-    List.map
-      (fun (rank, f) -> [ string_of_int rank; Printf.sprintf "%.6f" f ])
-      s.author_frequency
-  in
-  print_string "author-query popularity (BibFinder-authors analogue):\n";
-  Tabular.print_table ~headers:[ "author rank"; "observed freq" ] ~rows:author_rows;
-  Printf.printf "author log-log slope: %.3f\n" s.author_slope
-
-let print_fig9 scale = render_fig9 (fig9_popularity scale)
-
-let render_fig10 (data : ccdf_row list) =
-  heading "Fig. 10 — CCDF of article ranking, F(i) = 1 - 0.063 i^0.3";
-  let rows =
-    List.map
-      (fun (r : ccdf_row) ->
-        [ string_of_int r.rank; Printf.sprintf "%.4f" r.formula; Printf.sprintf "%.4f" r.model ])
-      data
-  in
-  Tabular.print_table ~headers:[ "rank"; "paper formula"; "sampler CCDF" ] ~rows
-
-let print_fig10 scale = render_fig10 (fig10_ccdf scale)
-
-let render_storage (data : storage_row list) =
-  heading "Section V-B — Index storage per scheme";
-  let rows =
-    List.map
-      (fun (r : storage_row) ->
-        [
-          r.scheme;
-          Tabular.fmt_bytes (float_of_int r.index_bytes);
-          Tabular.fmt_pct r.overhead_vs_simple;
-          Tabular.fmt_bytes r.dblp_scaled_bytes;
-          Tabular.fmt_pct r.index_to_data_ratio;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [ "scheme"; "index bytes"; "vs simple"; "scaled to DBLP"; "index/data ratio" ]
-    ~rows;
-  print_string
-    "paper: simple 152 MB for full DBLP; complex +25%; flat +37%; overhead <= 0.5% of 29.1 GB\n"
-
-let print_storage grid = render_storage (storage_overhead grid)
-
-let render_keys (data : keys_row list) =
-  heading "Section V-f — Regular keys per node";
-  let rows =
-    List.map
-      (fun (r : keys_row) ->
-        [ r.scheme; Printf.sprintf "%.0f" r.keys_per_node_mean; Printf.sprintf "%.0f" r.paper_value ])
-      data
-  in
-  Tabular.print_table ~headers:[ "scheme"; "measured"; "paper" ] ~rows
-
-let print_keys grid = render_keys (keys_per_node grid)
-
-let print_cells title unit rows =
-  heading title;
-  let headers = [ "scheme"; "policy"; unit; "" ] in
-  let max_value = List.fold_left (fun acc (c : cell) -> Float.max acc c.value) 0.0 rows in
-  let table_rows =
-    List.map
-      (fun (c : cell) ->
-        [
-          c.scheme;
-          c.policy;
-          Printf.sprintf "%.3f" c.value;
-          Tabular.bar ~width:30 ~max_value c.value;
-        ])
-      rows
-  in
-  Tabular.print_table ~headers ~rows:table_rows
-
-let render_fig11 (data : cell list) =
-  print_cells "Fig. 11 — Average interactions per query" "interactions" data;
-  print_string "paper: flat lowest (~2.3), simple ~3.3, complex ~3.5; caching reduces all\n"
-
-let print_fig11 grid = render_fig11 (fig11_interactions grid)
-
-let render_fig12 (data : traffic_cell list) =
-  heading "Fig. 12 — Average traffic (bytes) per query";
-  let rows =
-    List.map
-      (fun (c : traffic_cell) ->
-        [
-          c.scheme;
-          c.policy;
-          Printf.sprintf "%.0f" c.normal_bytes;
-          Printf.sprintf "%.0f" c.cache_bytes;
-          Printf.sprintf "%.0f" (c.normal_bytes +. c.cache_bytes);
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:[ "scheme"; "policy"; "normal B/query"; "cache B/query"; "total" ]
-    ~rows;
-  print_string "paper: flat ~2x the others (no indirection); caches save bandwidth\n"
-
-let print_fig12 grid = render_fig12 (fig12_traffic grid)
-
-let render_fig13 ~(hits : cell list) ~(shares : cell list) =
-  print_cells "Fig. 13 — Cache efficiency: distributed hit ratio" "hit ratio" hits;
-  List.iter
-    (fun (c : cell) ->
-      Printf.printf "multi-cache hits at first node (%s): %s (paper: simple 86%%, flat 99.9%%, complex 84%%)\n"
-        c.scheme (Tabular.fmt_pct c.value))
-    shares
-
-let print_fig13 grid =
-  render_fig13 ~hits:(fig13_hit_ratio grid) ~shares:(fig13_first_node_share grid)
-
-let render_fig14 ~(storage : cell list) ~(extremes : cache_extremes list) =
-  print_cells "Fig. 14 — Average cached keys per node" "cached keys" storage;
-  heading "Fig. 14 (cont.) — cache extremes";
-  let rows =
-    List.map
-      (fun (e : cache_extremes) ->
-        [
-          e.scheme;
-          e.policy;
-          string_of_int e.max_cached;
-          Tabular.fmt_pct e.full_share;
-          Tabular.fmt_pct e.empty_share;
-        ])
-      extremes
-  in
-  Tabular.print_table ~headers:[ "scheme"; "policy"; "max"; "full"; "empty" ] ~rows;
-  print_string
-    "paper: single ~2x more space-efficient than multi; maxima 253-413; LRU10 72% full, 4.4% empty overall\n"
-
-let print_fig14 grid =
-  render_fig14 ~storage:(fig14_cache_storage grid) ~extremes:(fig14_extremes grid)
-
-let render_fig15 (series : hotspot_series list) =
-  heading "Fig. 15 — Hot-spots: % of queries processed, by node rank (simple scheme)";
-  List.iter
-    (fun s ->
-      Printf.printf "%-12s" s.policy;
-      List.iter
-        (fun (rank, share) -> Printf.printf "  #%d:%s" rank (Tabular.fmt_pct share))
-        s.share_by_rank;
-      Printf.printf "  (gini %.2f)" s.gini;
-      print_newline ())
-    series;
-  print_string "paper: busiest node sees almost 1 in 10 queries; caching slightly relieves it\n"
-
-let print_fig15 grid = render_fig15 (fig15_hotspots grid)
-
-let render_table1 (data : cell list) =
-  heading "Table I — Queries to non-indexed data";
-  let by_policy p = List.filter (fun (c : cell) -> String.equal c.policy p) data in
-  let table_rows =
-    List.map
-      (fun policy ->
-        let label = Policy.label policy in
-        label
-        :: List.map (fun (c : cell) -> Printf.sprintf "%.0f" c.value) (by_policy label))
-      table1_policies
-  in
-  Tabular.print_table ~headers:[ "policy"; "Simple"; "Flat"; "Complex" ] ~rows:table_rows;
-  print_string
-    "paper (50k queries): no cache ~2,502-2,507; LRU30 810-874; single-cache 563-600\n"
-
-let print_table1 grid = render_table1 (table1_errors grid)
-
-let render_ablation_substrate (data : substrate_row list) =
-  heading "Ablation — substrate independence (simple scheme, single-cache)";
-  let rows =
-    List.map
-      (fun (r : substrate_row) ->
-        [
-          r.substrate;
-          Printf.sprintf "%.3f" r.interactions;
-          Printf.sprintf "%.0f" r.normal_bytes;
-          Printf.sprintf "%.0f" r.substrate_overhead_bytes;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:[ "substrate"; "interactions"; "normal B/query"; "routing B/query" ]
-    ~rows;
-  print_string
-    "index-layer metrics are substrate-independent; Chord pays only routing-hop overhead\n"
-
-let print_ablation_substrate scale = render_ablation_substrate (ablation_substrate scale)
-
-let render_ablation_skew (data : skew_row list) =
-  heading "Ablation — popularity skew vs cache efficiency (simple, LRU30)";
-  let rows =
-    List.map
-      (fun (r : skew_row) ->
-        [
-          Printf.sprintf "%.1f" r.alpha;
-          Tabular.fmt_pct r.hit_ratio;
-          Printf.sprintf "%.3f" r.interactions;
-        ])
-      data
-  in
-  Tabular.print_table ~headers:[ "Zipf exponent"; "hit ratio"; "interactions" ] ~rows;
-  print_string
-    "uniform popularity (s = 0) defeats the cache; the heavier the skew, the\n\
-     bigger the caching payoff — the mechanism behind Figs. 11-13\n"
-
-let print_ablation_skew scale = render_ablation_skew (ablation_skew scale)
-
-let render_ablation_replication (data : replication_row list) =
-  heading "Ablation — index availability under node failures (simple scheme)";
-  let rows =
-    List.map
-      (fun (r : replication_row) ->
-        [
-          string_of_int r.replication;
-          Tabular.fmt_pct r.failed_fraction;
-          Tabular.fmt_pct r.available_keys;
-          string_of_int r.storage_cost;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:[ "replication"; "nodes failed"; "index keys available"; "replica entries" ]
-    ~rows;
-  print_string
-    "replication (Section IV-D) trades storage for availability: with r replicas,\n\
-     a key is lost only when all r consecutive holders fail\n"
-
-let print_ablation_replication scale =
-  render_ablation_replication (ablation_replication scale)
-
-let render_ablation_deletion (data : deletion_row list) =
-  heading "Ablation — read/write semantics: deletion cleans the indexes";
-  let rows =
-    List.map
-      (fun (r : deletion_row) ->
-        [
-          Tabular.fmt_pct r.deleted_fraction;
-          string_of_int r.mappings_before;
-          string_of_int r.mappings_after;
-          string_of_int r.dangling_lookups;
-          string_of_int r.survivors_lost;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [ "articles deleted"; "mappings before"; "after"; "dangling paths"; "survivors lost" ]
-    ~rows;
-  print_string
-    "deleting a file removes its mappings recursively (dangling must be 0) while\n\
-     shared coarse entries keep serving the surviving files (lost must be 0)\n"
-
-let print_ablation_deletion scale = render_ablation_deletion (ablation_deletion scale)
-
-let render_ablation_churn (data : churn_row list) =
-  heading "Ablation — availability under churn (simple scheme, no cache)";
-  let rows =
-    List.map
-      (fun (r : churn_row) ->
-        [
-          Printf.sprintf "%g" r.churn_rate;
-          string_of_int r.churn_replication;
-          Tabular.fmt_pct r.availability;
-          Printf.sprintf "%.3f" r.churn_interactions;
-          Printf.sprintf "%.0f" r.maintenance_per_query;
-          Printf.sprintf "%.0f" r.live_nodes_end;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [
-        "churn rate (1/s)";
-        "replication";
-        "availability";
-        "interactions";
-        "maint B/query";
-        "live nodes at end";
-      ]
-    ~rows;
-  print_string
-    "crash-stop failures lose index shards and caches; TTLs, republication and\n\
-     repair restore them.  Availability falls as churn rises and climbs back\n\
-     with replication — the soft-state index survives a moving population\n"
-
-let print_ablation_churn scale = render_ablation_churn (ablation_churn scale)
-
-let render_fault_sweep (data : fault_sweep_row list) =
-  heading "Fault sweep — lookup success vs message loss x retry budget (replication 3)";
-  let rows =
-    List.map
-      (fun (r : fault_sweep_row) ->
-        [
-          Printf.sprintf "%g" r.sweep_loss_rate;
-          string_of_int r.sweep_retries;
-          (if r.sweep_hedged then "yes" else "no");
-          Tabular.fmt_pct r.lookup_success;
-          Tabular.fmt_pct r.fault_availability;
-          Printf.sprintf "%.3f" r.fault_interactions;
-          string_of_int r.sweep_timeouts;
-          string_of_int r.sweep_retries_used;
-          string_of_int r.sweep_hedges_won;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [
-        "loss rate";
-        "retries";
-        "hedged";
-        "rpc success";
-        "availability";
-        "interactions";
-        "timeouts";
-        "retries used";
-        "hedges won";
-      ]
-    ~rows;
-  print_string
-    "with no retry budget, per-exchange success collapses to (1-loss)^2; bounded\n\
-     backoff retries plus a hedged second request to the next replica recover\n\
-     it, and replica failover keeps session availability near 100%\n"
-
-let print_fault_sweep scale = render_fault_sweep (fault_sweep scale)
-
-let render_concurrency_sweep (data : concurrency_row list) =
-  heading "Concurrency sweep — singleflight coalescing under overlapping sessions";
-  let rows =
-    List.map
-      (fun (r : concurrency_row) ->
-        [
-          string_of_int r.row_concurrency;
-          (if r.row_coalesce then "yes" else "no");
-          string_of_int r.row_coalesced;
-          Printf.sprintf "%.1f" r.row_normal_per_query;
-          Printf.sprintf "%.1f" r.row_cache_per_query;
-          Printf.sprintf "%.3f s" r.row_session_latency;
-          string_of_int r.row_peak_in_flight;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [
-        "concurrency";
-        "coalesce";
-        "coalesced";
-        "normal B/query";
-        "cache B/query";
-        "session latency";
-        "peak in flight";
-      ]
-    ~rows;
-  print_string
-    "overlapping sessions aim identical probes at the hot keys; with coalescing a\n\
-     follower rides the in-flight response for a small consultation ticket, so\n\
-     normal traffic per query drops as concurrency grows\n"
-
-let print_concurrency_sweep scale = render_concurrency_sweep (concurrency_sweep scale)
-
-let render_ablation_scheme (data : scheme_variant_row list) =
-  heading "Ablation — the author+conference entry point (25% author+conf queries)";
-  let rows =
-    List.map
-      (fun (r : scheme_variant_row) ->
-        [
-          r.scheme_label;
-          Printf.sprintf "%.3f" r.interactions;
-          string_of_int r.non_indexed_errors;
-          Printf.sprintf "%.1f MB" r.index_megabytes;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:[ "scheme"; "interactions"; "non-indexed errors"; "index storage" ]
-    ~rows;
-  print_string
-    "the extra index turns author+conference queries from recoverable errors into\n\
-     direct chains, at the price of more index storage (Section IV-C's trade-off)\n"
-
-let print_ablation_scheme scale = render_ablation_scheme (ablation_scheme_variants scale)
-
-let render_ablation_hotspot (data : hotspot_replication_row list) =
-  heading "Ablation — hot-spot relief through key replication (simple, no cache)";
-  let rows =
-    List.map
-      (fun (r : hotspot_replication_row) ->
-        [
-          string_of_int r.key_replicas;
-          Tabular.fmt_pct r.busiest_share;
-          Printf.sprintf "%.3f" r.load_gini;
-        ])
-      data
-  in
-  Tabular.print_table ~headers:[ "replicas/key"; "busiest node"; "load gini" ] ~rows;
-  print_string
-    "spreading reads over r replicas divides the hottest key's load by r — the\n\
-     substrate-level hot-spot avoidance the paper defers to (Section V-g)\n"
-
-let print_ablation_hotspot scale =
-  render_ablation_hotspot (ablation_hotspot_replication scale)
-
-let render_prefix_sweep (data : prefix_sweep_row list) =
-  heading "Prefix sweep — routed range search vs broadcast-and-filter";
-  let rows =
-    List.map
-      (fun (r : prefix_sweep_row) ->
-        [
-          string_of_int r.sweep_prefix_len;
-          Printf.sprintf "%.2f" r.routed_nodes_mean;
-          string_of_int r.sweep_broadcast_nodes;
-          Printf.sprintf "%.0f" r.direct_bytes_per_query;
-          Printf.sprintf "%.0f" r.multicast_bytes_per_query;
-          Printf.sprintf "%.0f" r.broadcast_bytes_per_query;
-          string_of_int r.install_messages;
-          string_of_int r.install_depth;
-          Printf.sprintf "%.3f" r.sweep_interactions;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [
-        "prefix len";
-        "routed nodes";
-        "bcast nodes";
-        "direct B/q";
-        "mcast B/q";
-        "bcast B/q";
-        "install msgs";
-        "tree depth";
-        "interactions";
-      ]
-    ~rows;
-  print_string
-    "a prefix query routes to the few nodes covering its key arc instead of\n\
-     flooding all of them; multicast trades initiator exchanges for relay\n\
-     bytes, and index installs ride a spanning tree whose message count\n\
-     stays within covering members + tree edges\n"
-
-let print_prefix_sweep scale = render_prefix_sweep (prefix_sweep scale)
-
-let render_quorum_sweep (data : quorum_sweep_row list) =
-  heading
-    "Quorum sweep — stale reads vs read quorum under churn (replication 3, W=3, \
-     anti-entropy on)";
-  let rows =
-    List.map
-      (fun (r : quorum_sweep_row) ->
-        [
-          Printf.sprintf "%g" r.sweep_churn_rate;
-          string_of_int r.sweep_read_quorum;
-          Tabular.fmt_pct r.quorum_stale_rate;
-          Tabular.fmt_pct r.quorum_availability;
-          string_of_int r.quorum_sweep_reads;
-          string_of_int r.quorum_sweep_read_repairs;
-          string_of_int r.quorum_sweep_under_acked;
-          Printf.sprintf "%.0f" r.quorum_maint_per_query;
-          string_of_int r.quorum_digest_bytes;
-          string_of_int r.quorum_shipped_bytes;
-          string_of_int r.quorum_full_state_bytes;
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [
-        "churn rate";
-        "R";
-        "stale reads";
-        "availability";
-        "quorum reads";
-        "read repairs";
-        "under-acked";
-        "maint B/query";
-        "digest B";
-        "shipped B";
-        "full-state B";
-      ]
-    ~rows;
-  print_string
-    "consulting more replicas per lookup lowers the stale-read rate at fixed\n\
-     churn; anti-entropy ships only the diverged keys, so digest + shipped\n\
-     bytes stay below what full-state exchanges would have moved\n"
-
-let print_quorum_sweep scale = render_quorum_sweep (quorum_sweep scale)
-
-let render_scale_sweep (data : scale_sweep_row list) =
-  heading
-    (Printf.sprintf
-       "Scale sweep — population growth under the sharded engine (%d shards, \
-        deterministic merge)"
-       scale_sweep_shards);
-  let phase_minor (r : scale_sweep_row) name =
-    match
-      List.find_opt (fun (e : Obs.Phase.entry) -> e.Obs.Phase.phase = name) r.scale_phases
-    with
-    | Some e -> e.Obs.Phase.minor_words
-    | None -> 0.0
-  in
-  let rows =
-    List.map
-      (fun (r : scale_sweep_row) ->
-        [
-          string_of_int r.scale_nodes;
-          string_of_int r.scale_articles;
-          string_of_int r.scale_queries;
-          Printf.sprintf "%.3f" r.scale_interactions;
-          Printf.sprintf "%.0f" r.scale_normal_bytes;
-          string_of_int r.scale_errors;
-          Printf.sprintf "%.0f" r.scale_minor_words_per_query;
-          Printf.sprintf "%.1f %%"
-            (100.0 *. phase_minor r "walk"
-            /. Float.max 1.0
-                 (List.fold_left
-                    (fun acc (e : Obs.Phase.entry) -> acc +. e.Obs.Phase.minor_words)
-                    0.0 r.scale_phases));
-        ])
-      data
-  in
-  Tabular.print_table
-    ~headers:
-      [
-        "nodes";
-        "articles";
-        "queries";
-        "interactions";
-        "normal B/query";
-        "errors";
-        "minor w/query";
-        "walk alloc share";
-      ]
-    ~rows;
-  print_string
-    "interactions per query are scale-free (the paper's point: the index, not\n\
-     the population, prices a query); allocation per query stays flat, so the\n\
-     arena-backed hot state holds at a million nodes\n"
-
-let print_scale_sweep scale = render_scale_sweep (scale_sweep scale)
-
-let all_experiment_ids =
-  [
-    "fig7"; "fig9"; "fig10"; "storage"; "keys"; "fig11"; "fig12"; "fig13"; "fig14";
-    "fig15"; "table1"; "ablation-substrate"; "ablation-skew"; "ablation-replication";
-    "ablation-deletion"; "ablation-hotspot"; "ablation-scheme"; "ablation-churn";
-    "fault-sweep"; "concurrency-sweep"; "prefix-sweep"; "quorum-sweep";
-    "scale-sweep";
-  ]
 
 (* ------------------------------------------------------------------ *)
-(* Bench-report metrics.  Flattened under "exp/<id>/" by
-   {!Obs.Bench_report.flatten}; names are slugs so the diff tool's paths
+(* The experiment table.  Every experiment is declared once, in
+   [experiments] below: its id, the data function that computes it and
+   the blocks that present the result.  A block of rows declares fields:
+   a field may print as a table column, feed a bench-report metric, or
+   both, so the printed table and the metrics read the same value.  One
+   renderer and one metrics extractor serve every entry.
+
+   Metric names are flattened under "exp/<id>/" by
+   {!Obs.Bench_report.flatten} and are slugs, so the diff tool's paths
    stay shell-friendly.  Direction conventions: costs (interactions,
    bytes, errors) are lower-better, success ratios (hit ratio,
    availability, RPC success) higher-better, distribution shapes
    (slopes, gini, cache occupancy) informational. *)
+
+type 'r cell_render =
+  | Cell of ('r -> string)
+  | Bar of ('r -> float)  (* a 30-cell bar scaled to the column's largest value *)
+
+type 'r field = {
+  column : (string * 'r cell_render) option;  (* header and cell *)
+  metric : (string * Obs.Bench_report.direction * ('r -> (string * float) list)) option;
+      (* one metric per (sub-key, value) pair; the sub-key is usually "" *)
+}
+
+type 'd block =
+  | Heading of string
+  | Text of ('d -> string)
+  | Rows : ('d -> 'r list) * ('r -> string) * 'r field list -> 'd block
+      (* rows, the per-row metric key, fields: a table of the fields that
+         have columns (none printed when no field has one), then per row
+         each field's metric, named "<name>/<key>/<sub-key>" with empty
+         parts dropped *)
+
+type experiment =
+  | Experiment : { id : string; compute : Grid.t -> 'd; blocks : 'd block list } -> experiment
 
 let slug s =
   let buf = Buffer.create (String.length s) in
@@ -1741,358 +1188,739 @@ let slug s =
     String.sub s 0 (String.length s - 1)
   else s
 
+let fnum f = slug (Printf.sprintf "%g" f)
 let lower = Obs.Bench_report.Lower_better
 let higher = Obs.Bench_report.Higher_better
 let info = Obs.Bench_report.Informational
-let m name better value = Obs.Bench_report.metric name better value
-let fnum f = slug (Printf.sprintf "%g" f)
 
-let cell_metrics prefix better (data : cell list) =
-  List.map
-    (fun (c : cell) ->
-      m (prefix ^ "/" ^ slug c.scheme ^ "/" ^ slug c.policy) better c.value)
-    data
+let single metric value =
+  Option.map (fun (name, better) -> (name, better, fun r -> [ ("", value r) ])) metric
 
-let metrics_fig7 (data : mix_row list) =
-  let worst =
-    List.fold_left
-      (fun acc (r : mix_row) -> Float.max acc (Float.abs (r.model -. r.observed)))
-      0.0 data
-  in
-  m "mix_abs_error_max" lower worst
-  :: List.map
-       (fun (r : mix_row) -> m ("mix_observed/" ^ slug r.structure) info r.observed)
-       data
+let field ?metric header format value =
+  { column = Some (header, Cell (fun r -> format (value r))); metric = single metric value }
 
-let metrics_fig9 (s : popularity_series) =
+let fixed ?metric decimals header value =
+  field ?metric header (fun v -> Tabular.fmt_float ~decimals v) value
+
+let pct ?metric header value = field ?metric header (fun v -> Tabular.fmt_pct v) value
+
+let count ?metric header value =
+  {
+    column = Some (header, Cell (fun r -> string_of_int (value r)));
+    metric = single metric (fun r -> float_of_int (value r));
+  }
+
+let text header cell = { column = Some (header, Cell cell); metric = None }
+let bar value = { column = Some ("", Bar value); metric = None }
+
+let measure name better value = { column = None; metric = single (Some (name, better)) value }
+
+let measure_each name better values = { column = None; metric = Some (name, better, values) }
+let note s = Text (fun _ -> s)
+let table rows fields = Rows (rows, (fun _ -> ""), fields)
+let whole d = [ d ]
+let on_scale f grid = f (Grid.scale grid)
+let yes_no b = if b then "yes" else "no"
+let cell_key (c : cell) = slug c.scheme ^ "/" ^ slug c.policy
+
+let cell_fields unit metric =
   [
-    m "article_slope" info s.fitted_slope;
-    m "author_slope" info s.author_slope;
-    m "top_rank_freq" info
-      (match s.observed_frequency with (_, f) :: _ -> f | [] -> 0.0);
+    text "scheme" (fun (c : cell) -> c.scheme);
+    text "policy" (fun (c : cell) -> c.policy);
+    fixed ~metric 3 unit (fun (c : cell) -> c.value);
+    bar (fun (c : cell) -> c.value);
   ]
 
-let metrics_fig10 (data : ccdf_row list) =
-  let worst =
-    List.fold_left
-      (fun acc (r : ccdf_row) -> Float.max acc (Float.abs (r.formula -. r.model)))
-      0.0 data
-  in
-  [ m "ccdf_abs_error_max" lower worst ]
+let abs_error_max pairs =
+  List.fold_left (fun acc (a, b) -> Float.max acc (Float.abs (a -. b))) 0.0 pairs
 
-let metrics_storage (data : storage_row list) =
-  List.concat_map
-    (fun (r : storage_row) ->
-      [
-        m ("index_bytes/" ^ slug r.scheme) lower (float_of_int r.index_bytes);
-        m ("overhead_vs_simple/" ^ slug r.scheme) info r.overhead_vs_simple;
-      ])
-    data
+let experiments =
+  [
+    Experiment
+      {
+        id = "fig7";
+        compute = on_scale fig7_query_mix;
+        blocks =
+          [
+            (* Metrics only, listed first: the summary leads the metric list. *)
+            table whole
+              [
+                measure "mix_abs_error_max" lower (fun rows ->
+                    abs_error_max (List.map (fun (r : mix_row) -> (r.model, r.observed)) rows));
+              ];
+            Heading "Fig. 7 — Query-structure mix (model vs generated workload)";
+            Rows
+              ( Fun.id,
+                (fun (r : mix_row) -> slug r.structure),
+                [
+                  text "structure" (fun (r : mix_row) -> r.structure);
+                  pct "model (BibFinder)" (fun (r : mix_row) -> r.model);
+                  pct ~metric:("mix_observed", info) "observed" (fun (r : mix_row) -> r.observed);
+                ] );
+          ];
+      };
+    Experiment
+      {
+        id = "fig9";
+        compute = on_scale fig9_popularity;
+        blocks =
+          [
+            Heading "Fig. 9 — Article popularity (log-log rank/probability)";
+            table
+              (fun s ->
+                List.map
+                  (fun rank ->
+                    (rank, List.assoc rank s.article_probability, List.assoc rank s.observed_frequency))
+                  s.ranks)
+              [
+                count "rank" (fun (rank, _, _) -> rank);
+                fixed 6 "model p(i)" (fun (_, model, _) -> model);
+                fixed 6 "observed freq" (fun (_, _, observed) -> observed);
+              ];
+            Text
+              (fun s ->
+                Printf.sprintf
+                  "article log-log slope: %.3f (power law; paper reports a power-law family)\n"
+                  s.fitted_slope);
+            note "author-query popularity (BibFinder-authors analogue):\n";
+            table (fun s -> s.author_frequency) [ count "author rank" fst; fixed 6 "observed freq" snd ];
+            Text (fun s -> Printf.sprintf "author log-log slope: %.3f\n" s.author_slope);
+            table whole
+              [
+                measure "article_slope" info (fun s -> s.fitted_slope);
+                measure "author_slope" info (fun s -> s.author_slope);
+                measure "top_rank_freq" info (fun s ->
+                    match s.observed_frequency with (_, f) :: _ -> f | [] -> 0.0);
+              ];
+          ];
+      };
+    Experiment
+      {
+        id = "fig10";
+        compute = on_scale fig10_ccdf;
+        blocks =
+          [
+            Heading "Fig. 10 — CCDF of article ranking, F(i) = 1 - 0.063 i^0.3";
+            table Fun.id
+              [
+                count "rank" (fun (r : ccdf_row) -> r.rank);
+                fixed 4 "paper formula" (fun (r : ccdf_row) -> r.formula);
+                fixed 4 "sampler CCDF" (fun (r : ccdf_row) -> r.model);
+              ];
+            table whole
+              [
+                measure "ccdf_abs_error_max" lower (fun rows ->
+                    abs_error_max (List.map (fun (r : ccdf_row) -> (r.formula, r.model)) rows));
+              ];
+          ];
+      };
+    Experiment
+      {
+        id = "storage";
+        compute = storage_overhead;
+        blocks =
+          [
+            Heading "Section V-B — Index storage per scheme";
+            Rows
+              ( Fun.id,
+                (fun (r : storage_row) -> slug r.scheme),
+                [
+                  text "scheme" (fun (r : storage_row) -> r.scheme);
+                  field ~metric:("index_bytes", lower) "index bytes" Tabular.fmt_bytes
+                    (fun (r : storage_row) -> float_of_int r.index_bytes);
+                  pct ~metric:("overhead_vs_simple", info) "vs simple" (fun (r : storage_row) ->
+                      r.overhead_vs_simple);
+                  field "scaled to DBLP" Tabular.fmt_bytes (fun (r : storage_row) -> r.dblp_scaled_bytes);
+                  pct "index/data ratio" (fun (r : storage_row) -> r.index_to_data_ratio);
+                ] );
+            note
+              "paper: simple 152 MB for full DBLP; complex +25%; flat +37%; overhead <= 0.5% of \
+               29.1 GB\n";
+          ];
+      };
+    Experiment
+      {
+        id = "keys";
+        compute = keys_per_node;
+        blocks =
+          [
+            Heading "Section V-f — Regular keys per node";
+            Rows
+              ( Fun.id,
+                (fun (r : keys_row) -> slug r.scheme),
+                [
+                  text "scheme" (fun (r : keys_row) -> r.scheme);
+                  fixed ~metric:("keys_per_node", info) 0 "measured" (fun (r : keys_row) ->
+                      r.keys_per_node_mean);
+                  fixed 0 "paper" (fun (r : keys_row) -> r.paper_value);
+                ] );
+          ];
+      };
+    Experiment
+      {
+        id = "fig11";
+        compute = fig11_interactions;
+        blocks =
+          [
+            Heading "Fig. 11 — Average interactions per query";
+            Rows (Fun.id, cell_key, cell_fields "interactions" ("interactions", lower));
+            note "paper: flat lowest (~2.3), simple ~3.3, complex ~3.5; caching reduces all\n";
+          ];
+      };
+    Experiment
+      {
+        id = "fig12";
+        compute = fig12_traffic;
+        blocks =
+          [
+            Heading "Fig. 12 — Average traffic (bytes) per query";
+            Rows
+              ( Fun.id,
+                (fun (c : traffic_cell) -> slug c.scheme ^ "/" ^ slug c.policy),
+                [
+                  text "scheme" (fun (c : traffic_cell) -> c.scheme);
+                  text "policy" (fun (c : traffic_cell) -> c.policy);
+                  fixed ~metric:("normal_bytes", lower) 0 "normal B/query" (fun (c : traffic_cell) ->
+                      c.normal_bytes);
+                  fixed ~metric:("cache_bytes", lower) 0 "cache B/query" (fun (c : traffic_cell) ->
+                      c.cache_bytes);
+                  fixed 0 "total" (fun (c : traffic_cell) -> c.normal_bytes +. c.cache_bytes);
+                ] );
+            note "paper: flat ~2x the others (no indirection); caches save bandwidth\n";
+          ];
+      };
+    Experiment
+      {
+        id = "fig13";
+        compute =
+          (fun grid ->
+            let hits = fig13_hit_ratio grid in
+            (hits, fig13_first_node_share grid));
+        blocks =
+          [
+            Heading "Fig. 13 — Cache efficiency: distributed hit ratio";
+            Rows (fst, cell_key, cell_fields "hit ratio" ("hit_ratio", higher));
+            Text
+              (fun (_, shares) ->
+                String.concat ""
+                  (List.map
+                     (fun (c : cell) ->
+                       Printf.sprintf
+                         "multi-cache hits at first node (%s): %s (paper: simple 86%%, flat \
+                          99.9%%, complex 84%%)\n"
+                         c.scheme (Tabular.fmt_pct c.value))
+                     shares));
+            Rows
+              ( snd,
+                (fun (c : cell) -> slug c.scheme),
+                [ measure "first_node_share" higher (fun (c : cell) -> c.value) ] );
+          ];
+      };
+    Experiment
+      {
+        id = "fig14";
+        compute =
+          (fun grid ->
+            let storage = fig14_cache_storage grid in
+            (storage, fig14_extremes grid));
+        blocks =
+          [
+            Heading "Fig. 14 — Average cached keys per node";
+            Rows (fst, cell_key, cell_fields "cached keys" ("cached_keys", info));
+            Heading "Fig. 14 (cont.) — cache extremes";
+            Rows
+              ( snd,
+                (fun (e : cache_extremes) -> slug e.scheme ^ "/" ^ slug e.policy),
+                [
+                  text "scheme" (fun (e : cache_extremes) -> e.scheme);
+                  text "policy" (fun (e : cache_extremes) -> e.policy);
+                  count ~metric:("max_cached", info) "max" (fun (e : cache_extremes) -> e.max_cached);
+                  pct "full" (fun (e : cache_extremes) -> e.full_share);
+                  pct "empty" (fun (e : cache_extremes) -> e.empty_share);
+                ] );
+            note
+              "paper: single ~2x more space-efficient than multi; maxima 253-413; LRU10 72% full, \
+               4.4% empty overall\n";
+          ];
+      };
+    Experiment
+      {
+        id = "fig15";
+        compute = fig15_hotspots;
+        blocks =
+          [
+            Heading "Fig. 15 — Hot-spots: % of queries processed, by node rank (simple scheme)";
+            (* One line per series: the log-log points do not share columns. *)
+            Text
+              (fun series ->
+                String.concat ""
+                  (List.map
+                     (fun s ->
+                       Printf.sprintf "%-12s%s  (gini %.2f)\n" s.policy
+                         (String.concat ""
+                            (List.map
+                               (fun (rank, share) ->
+                                 Printf.sprintf "  #%d:%s" rank (Tabular.fmt_pct share))
+                               s.share_by_rank))
+                         s.gini)
+                     series));
+            note "paper: busiest node sees almost 1 in 10 queries; caching slightly relieves it\n";
+            Rows
+              ( Fun.id,
+                (fun s -> slug s.policy),
+                [
+                  measure "gini" info (fun s -> s.gini);
+                  measure "busiest_share" info (fun s ->
+                      match s.share_by_rank with (_, v) :: _ -> v | [] -> 0.0);
+                ] );
+          ];
+      };
+    Experiment
+      {
+        id = "table1";
+        compute = table1_errors;
+        blocks =
+          [
+            Heading "Table I — Queries to non-indexed data";
+            (* Pivoted: one row per policy, one column per scheme. *)
+            table
+              (fun cells ->
+                List.map
+                  (fun policy ->
+                    let label = Policy.label policy in
+                    (label, List.filter (fun (c : cell) -> String.equal c.policy label) cells))
+                  table1_policies)
+              (text "policy" fst
+              :: List.map
+                   (fun kind ->
+                     let label = Schemes.label kind in
+                     fixed 0 label (fun (_, row) ->
+                         (List.find (fun (c : cell) -> String.equal c.scheme label) row).value))
+                   Schemes.all);
+            note
+              "paper (50k queries): no cache ~2,502-2,507; LRU30 810-874; single-cache 563-600\n";
+            Rows (Fun.id, cell_key, [ measure "errors" lower (fun (c : cell) -> c.value) ]);
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-substrate";
+        compute = on_scale ablation_substrate;
+        blocks =
+          [
+            Heading "Ablation — substrate independence (simple scheme, single-cache)";
+            Rows
+              ( Fun.id,
+                (fun (r : substrate_row) -> slug r.substrate),
+                [
+                  text "substrate" (fun (r : substrate_row) -> r.substrate);
+                  fixed ~metric:("interactions", lower) 3 "interactions" (fun (r : substrate_row) ->
+                      r.interactions);
+                  fixed ~metric:("normal_bytes", lower) 0 "normal B/query" (fun (r : substrate_row) ->
+                      r.normal_bytes);
+                  fixed ~metric:("routing_bytes", lower) 0 "routing B/query" (fun (r : substrate_row) ->
+                      r.substrate_overhead_bytes);
+                ] );
+            note
+              "index-layer metrics are substrate-independent; Chord pays only routing-hop overhead\n";
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-skew";
+        compute = on_scale ablation_skew;
+        blocks =
+          [
+            Heading "Ablation — popularity skew vs cache efficiency (simple, LRU30)";
+            Rows
+              ( Fun.id,
+                (fun (r : skew_row) -> "a" ^ fnum r.alpha),
+                [
+                  fixed 1 "Zipf exponent" (fun (r : skew_row) -> r.alpha);
+                  pct ~metric:("hit_ratio", higher) "hit ratio" (fun (r : skew_row) -> r.hit_ratio);
+                  fixed ~metric:("interactions", lower) 3 "interactions" (fun (r : skew_row) ->
+                      r.interactions);
+                ] );
+            note
+              "uniform popularity (s = 0) defeats the cache; the heavier the skew, the\n\
+               bigger the caching payoff — the mechanism behind Figs. 11-13\n";
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-replication";
+        compute = on_scale ablation_replication;
+        blocks =
+          [
+            Heading "Ablation — index availability under node failures (simple scheme)";
+            Rows
+              ( Fun.id,
+                (fun (r : replication_row) ->
+                  "r" ^ string_of_int r.replication ^ "/f" ^ fnum r.failed_fraction),
+                [
+                  count "replication" (fun (r : replication_row) -> r.replication);
+                  pct "nodes failed" (fun (r : replication_row) -> r.failed_fraction);
+                  pct ~metric:("available_keys", higher) "index keys available"
+                    (fun (r : replication_row) -> r.available_keys);
+                  count ~metric:("replica_entries", info) "replica entries"
+                    (fun (r : replication_row) -> r.storage_cost);
+                ] );
+            note
+              "replication (Section IV-D) trades storage for availability: with r replicas,\n\
+               a key is lost only when all r consecutive holders fail\n";
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-deletion";
+        compute = on_scale ablation_deletion;
+        blocks =
+          [
+            Heading "Ablation — read/write semantics: deletion cleans the indexes";
+            Rows
+              ( Fun.id,
+                (fun (r : deletion_row) -> "f" ^ fnum r.deleted_fraction),
+                [
+                  pct "articles deleted" (fun (r : deletion_row) -> r.deleted_fraction);
+                  count "mappings before" (fun (r : deletion_row) -> r.mappings_before);
+                  count "after" (fun (r : deletion_row) -> r.mappings_after);
+                  count ~metric:("dangling", lower) "dangling paths" (fun (r : deletion_row) ->
+                      r.dangling_lookups);
+                  count ~metric:("survivors_lost", lower) "survivors lost" (fun (r : deletion_row) ->
+                      r.survivors_lost);
+                  measure "mappings_after" info (fun (r : deletion_row) ->
+                      float_of_int r.mappings_after);
+                ] );
+            note
+              "deleting a file removes its mappings recursively (dangling must be 0) while\n\
+               shared coarse entries keep serving the surviving files (lost must be 0)\n";
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-hotspot";
+        compute = on_scale ablation_hotspot_replication;
+        blocks =
+          [
+            Heading "Ablation — hot-spot relief through key replication (simple, no cache)";
+            Rows
+              ( Fun.id,
+                (fun (r : hotspot_replication_row) -> "r" ^ string_of_int r.key_replicas),
+                [
+                  count "replicas/key" (fun (r : hotspot_replication_row) -> r.key_replicas);
+                  pct ~metric:("busiest_share", lower) "busiest node"
+                    (fun (r : hotspot_replication_row) -> r.busiest_share);
+                  fixed ~metric:("gini", lower) 3 "load gini" (fun (r : hotspot_replication_row) ->
+                      r.load_gini);
+                ] );
+            note
+              "spreading reads over r replicas divides the hottest key's load by r — the\n\
+               substrate-level hot-spot avoidance the paper defers to (Section V-g)\n";
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-scheme";
+        compute = on_scale ablation_scheme_variants;
+        blocks =
+          [
+            Heading "Ablation — the author+conference entry point (25% author+conf queries)";
+            Rows
+              ( Fun.id,
+                (fun (r : scheme_variant_row) -> slug r.scheme_label),
+                [
+                  text "scheme" (fun (r : scheme_variant_row) -> r.scheme_label);
+                  fixed ~metric:("interactions", lower) 3 "interactions"
+                    (fun (r : scheme_variant_row) -> r.interactions);
+                  count ~metric:("errors", lower) "non-indexed errors" (fun (r : scheme_variant_row) ->
+                      r.non_indexed_errors);
+                  field ~metric:("index_mb", lower) "index storage" (Printf.sprintf "%.1f MB")
+                    (fun (r : scheme_variant_row) -> r.index_megabytes);
+                ] );
+            note
+              "the extra index turns author+conference queries from recoverable errors into\n\
+               direct chains, at the price of more index storage (Section IV-C's trade-off)\n";
+          ];
+      };
+    Experiment
+      {
+        id = "ablation-churn";
+        compute = on_scale ablation_churn;
+        blocks =
+          [
+            Heading "Ablation — availability under churn (simple scheme, no cache)";
+            Rows
+              ( Fun.id,
+                (fun (r : churn_row) ->
+                  "c" ^ fnum r.churn_rate ^ "/r" ^ string_of_int r.churn_replication),
+                [
+                  field "churn rate (1/s)" (Printf.sprintf "%g") (fun (r : churn_row) -> r.churn_rate);
+                  count "replication" (fun (r : churn_row) -> r.churn_replication);
+                  pct ~metric:("availability", higher) "availability" (fun (r : churn_row) ->
+                      r.availability);
+                  fixed ~metric:("interactions", lower) 3 "interactions" (fun (r : churn_row) ->
+                      r.churn_interactions);
+                  fixed ~metric:("maint_bytes", lower) 0 "maint B/query" (fun (r : churn_row) ->
+                      r.maintenance_per_query);
+                  fixed 0 "live nodes at end" (fun (r : churn_row) -> r.live_nodes_end);
+                ] );
+            note
+              "crash-stop failures lose index shards and caches; TTLs, republication and\n\
+               repair restore them.  Availability falls as churn rises and climbs back\n\
+               with replication — the soft-state index survives a moving population\n";
+          ];
+      };
+    Experiment
+      {
+        id = "fault-sweep";
+        compute = on_scale fault_sweep;
+        blocks =
+          [
+            Heading "Fault sweep — lookup success vs message loss x retry budget (replication 3)";
+            Rows
+              ( Fun.id,
+                (fun (r : fault_sweep_row) ->
+                  "l" ^ fnum r.sweep_loss_rate ^ "/r" ^ string_of_int r.sweep_retries),
+                [
+                  field "loss rate" (Printf.sprintf "%g") (fun (r : fault_sweep_row) -> r.sweep_loss_rate);
+                  count "retries" (fun (r : fault_sweep_row) -> r.sweep_retries);
+                  text "hedged" (fun (r : fault_sweep_row) -> yes_no r.sweep_hedged);
+                  pct ~metric:("rpc_success", higher) "rpc success" (fun (r : fault_sweep_row) ->
+                      r.lookup_success);
+                  pct ~metric:("availability", higher) "availability" (fun (r : fault_sweep_row) ->
+                      r.fault_availability);
+                  fixed ~metric:("interactions", lower) 3 "interactions" (fun (r : fault_sweep_row) ->
+                      r.fault_interactions);
+                  count ~metric:("timeouts", info) "timeouts" (fun (r : fault_sweep_row) ->
+                      r.sweep_timeouts);
+                  count "retries used" (fun (r : fault_sweep_row) -> r.sweep_retries_used);
+                  count "hedges won" (fun (r : fault_sweep_row) -> r.sweep_hedges_won);
+                ] );
+            note
+              "with no retry budget, per-exchange success collapses to (1-loss)^2; bounded\n\
+               backoff retries plus a hedged second request to the next replica recover\n\
+               it, and replica failover keeps session availability near 100%\n";
+          ];
+      };
+    Experiment
+      {
+        id = "concurrency-sweep";
+        compute = on_scale concurrency_sweep;
+        blocks =
+          [
+            Heading "Concurrency sweep — singleflight coalescing under overlapping sessions";
+            Rows
+              ( Fun.id,
+                (fun (r : concurrency_row) ->
+                  "c" ^ string_of_int r.row_concurrency
+                  ^ if r.row_coalesce then "/coalesce" else "/plain"),
+                [
+                  count "concurrency" (fun (r : concurrency_row) -> r.row_concurrency);
+                  text "coalesce" (fun (r : concurrency_row) -> yes_no r.row_coalesce);
+                  count "coalesced" (fun (r : concurrency_row) -> r.row_coalesced);
+                  fixed ~metric:("normal_bytes", lower) 1 "normal B/query" (fun (r : concurrency_row) ->
+                      r.row_normal_per_query);
+                  fixed ~metric:("cache_bytes", info) 1 "cache B/query" (fun (r : concurrency_row) ->
+                      r.row_cache_per_query);
+                  measure "coalesced" info (fun (r : concurrency_row) -> float_of_int r.row_coalesced);
+                  field ~metric:("session_latency", lower) "session latency" (Printf.sprintf "%.3f s")
+                    (fun (r : concurrency_row) -> r.row_session_latency);
+                  count ~metric:("peak_in_flight", info) "peak in flight" (fun (r : concurrency_row) ->
+                      r.row_peak_in_flight);
+                ] );
+            note
+              "overlapping sessions aim identical probes at the hot keys; with coalescing a\n\
+               follower rides the in-flight response for a small consultation ticket, so\n\
+               normal traffic per query drops as concurrency grows\n";
+          ];
+      };
+    Experiment
+      {
+        id = "prefix-sweep";
+        compute = on_scale prefix_sweep;
+        blocks =
+          [
+            Heading "Prefix sweep — routed range search vs broadcast-and-filter";
+            Rows
+              ( Fun.id,
+                (fun (r : prefix_sweep_row) -> "l" ^ string_of_int r.sweep_prefix_len),
+                [
+                  count "prefix len" (fun (r : prefix_sweep_row) -> r.sweep_prefix_len);
+                  fixed ~metric:("routed_nodes", lower) 2 "routed nodes" (fun (r : prefix_sweep_row) ->
+                      r.routed_nodes_mean);
+                  measure "node_savings" higher (fun (r : prefix_sweep_row) ->
+                      float_of_int r.sweep_broadcast_nodes -. r.routed_nodes_mean);
+                  count ~metric:("broadcast_nodes", info) "bcast nodes" (fun (r : prefix_sweep_row) ->
+                      r.sweep_broadcast_nodes);
+                  fixed ~metric:("routed_bytes_direct", lower) 0 "direct B/q"
+                    (fun (r : prefix_sweep_row) -> r.direct_bytes_per_query);
+                  fixed ~metric:("routed_bytes_multicast", lower) 0 "mcast B/q"
+                    (fun (r : prefix_sweep_row) -> r.multicast_bytes_per_query);
+                  fixed ~metric:("broadcast_bytes", info) 0 "bcast B/q" (fun (r : prefix_sweep_row) ->
+                      r.broadcast_bytes_per_query);
+                  count ~metric:("multicast_messages", lower) "install msgs"
+                    (fun (r : prefix_sweep_row) -> r.install_messages);
+                  measure "multicast_bound_slack" higher (fun (r : prefix_sweep_row) ->
+                      float_of_int r.install_bound_slack);
+                  count ~metric:("tree_depth", info) "tree depth" (fun (r : prefix_sweep_row) ->
+                      r.install_depth);
+                  fixed ~metric:("interactions", lower) 3 "interactions" (fun (r : prefix_sweep_row) ->
+                      r.sweep_interactions);
+                  measure "normal_bytes" lower (fun (r : prefix_sweep_row) -> r.sweep_normal_bytes);
+                ] );
+            note
+              "a prefix query routes to the few nodes covering its key arc instead of\n\
+               flooding all of them; multicast trades initiator exchanges for relay\n\
+               bytes, and index installs ride a spanning tree whose message count\n\
+               stays within covering members + tree edges\n";
+          ];
+      };
+    Experiment
+      {
+        id = "quorum-sweep";
+        compute = on_scale quorum_sweep;
+        blocks =
+          [
+            Heading
+              "Quorum sweep — stale reads vs read quorum under churn (replication 3, W=3, \
+               anti-entropy on)";
+            Rows
+              ( Fun.id,
+                (fun (r : quorum_sweep_row) ->
+                  "c" ^ fnum r.sweep_churn_rate ^ "/q" ^ string_of_int r.sweep_read_quorum),
+                [
+                  field "churn rate" (Printf.sprintf "%g") (fun (r : quorum_sweep_row) ->
+                      r.sweep_churn_rate);
+                  count "R" (fun (r : quorum_sweep_row) -> r.sweep_read_quorum);
+                  pct ~metric:("stale_rate", lower) "stale reads" (fun (r : quorum_sweep_row) ->
+                      r.quorum_stale_rate);
+                  pct ~metric:("availability", higher) "availability" (fun (r : quorum_sweep_row) ->
+                      r.quorum_availability);
+                  count "quorum reads" (fun (r : quorum_sweep_row) -> r.quorum_sweep_reads);
+                  count ~metric:("read_repairs", info) "read repairs" (fun (r : quorum_sweep_row) ->
+                      r.quorum_sweep_read_repairs);
+                  count ~metric:("under_acked", info) "under-acked" (fun (r : quorum_sweep_row) ->
+                      r.quorum_sweep_under_acked);
+                  fixed ~metric:("maint_bytes", lower) 0 "maint B/query" (fun (r : quorum_sweep_row) ->
+                      r.quorum_maint_per_query);
+                  count ~metric:("ae_digest_bytes", lower) "digest B" (fun (r : quorum_sweep_row) ->
+                      r.quorum_digest_bytes);
+                  count ~metric:("ae_shipped_bytes", lower) "shipped B" (fun (r : quorum_sweep_row) ->
+                      r.quorum_shipped_bytes);
+                  count "full-state B" (fun (r : quorum_sweep_row) -> r.quorum_full_state_bytes);
+                  measure "ae_savings" higher (fun (r : quorum_sweep_row) ->
+                      float_of_int
+                        (r.quorum_full_state_bytes - r.quorum_digest_bytes - r.quorum_shipped_bytes));
+                ] );
+            note
+              "consulting more replicas per lookup lowers the stale-read rate at fixed\n\
+               churn; anti-entropy ships only the diverged keys, so digest + shipped\n\
+               bytes stay below what full-state exchanges would have moved\n";
+          ];
+      };
+    Experiment
+      {
+        id = "scale-sweep";
+        compute = on_scale scale_sweep;
+        blocks =
+          [
+            Heading
+              (Printf.sprintf
+                 "Scale sweep — population growth under the sharded engine (%d shards, \
+                  deterministic merge)"
+                 scale_sweep_shards);
+            Rows
+              ( Fun.id,
+                (fun (r : scale_sweep_row) -> "n" ^ string_of_int r.scale_nodes),
+                [
+                  count "nodes" (fun (r : scale_sweep_row) -> r.scale_nodes);
+                  count "articles" (fun (r : scale_sweep_row) -> r.scale_articles);
+                  count "queries" (fun (r : scale_sweep_row) -> r.scale_queries);
+                  fixed ~metric:("interactions", lower) 3 "interactions" (fun (r : scale_sweep_row) ->
+                      r.scale_interactions);
+                  fixed ~metric:("normal_bytes", lower) 0 "normal B/query" (fun (r : scale_sweep_row) ->
+                      r.scale_normal_bytes);
+                  count ~metric:("errors", lower) "errors" (fun (r : scale_sweep_row) -> r.scale_errors);
+                  fixed ~metric:("minor_words_per_query", lower) 0 "minor w/query"
+                    (fun (r : scale_sweep_row) -> r.scale_minor_words_per_query);
+                  text "walk alloc share" (fun (r : scale_sweep_row) ->
+                      let walk =
+                        match
+                          List.find_opt
+                            (fun (e : Obs.Phase.entry) -> String.equal e.Obs.Phase.phase "walk")
+                            r.scale_phases
+                        with
+                        | Some e -> e.Obs.Phase.minor_words
+                        | None -> 0.0
+                      in
+                      let total =
+                        List.fold_left
+                          (fun acc (e : Obs.Phase.entry) -> acc +. e.Obs.Phase.minor_words)
+                          0.0 r.scale_phases
+                      in
+                      Printf.sprintf "%.1f %%" (100.0 *. walk /. Float.max 1.0 total));
+                  measure_each "phase_minor_words" info (fun (r : scale_sweep_row) ->
+                      List.map
+                        (fun (e : Obs.Phase.entry) -> (slug e.Obs.Phase.phase, e.Obs.Phase.minor_words))
+                        r.scale_phases);
+                ] );
+            note
+              "interactions per query are scale-free (the paper's point: the index, not\n\
+               the population, prices a query); allocation per query stays flat, so the\n\
+               arena-backed hot state holds at a million nodes\n";
+          ];
+      };
+  ]
 
-let metrics_keys (data : keys_row list) =
-  List.map
-    (fun (r : keys_row) ->
-      m ("keys_per_node/" ^ slug r.scheme) info r.keys_per_node_mean)
-    data
+let all_experiment_ids = List.map (fun (Experiment e) -> e.id) experiments
 
-let metrics_fig12 (data : traffic_cell list) =
-  List.concat_map
-    (fun (c : traffic_cell) ->
-      let base = slug c.scheme ^ "/" ^ slug c.policy in
-      [
-        m ("normal_bytes/" ^ base) lower c.normal_bytes;
-        m ("cache_bytes/" ^ base) lower c.cache_bytes;
-      ])
-    data
+let render_block buf d = function
+  | Heading title -> Printf.bprintf buf "\n=== %s ===\n" title
+  | Text f -> Buffer.add_string buf (f d)
+  | Rows (rows, _, fields) -> (
+      let rows = rows d in
+      match List.filter_map (fun f -> f.column) fields with
+      | [] -> ()
+      | columns ->
+          let render = function
+            | Cell f -> f
+            | Bar f ->
+                let max_value = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 rows in
+                fun r -> Tabular.bar ~width:30 ~max_value (f r)
+          in
+          let cells = List.map (fun (_, cell) -> render cell) columns in
+          Buffer.add_string buf
+            (Tabular.render_table ~headers:(List.map fst columns)
+               ~rows:(List.map (fun r -> List.map (fun cell -> cell r) cells) rows)))
 
-let metrics_fig14 ~(storage : cell list) ~(extremes : cache_extremes list) =
-  cell_metrics "cached_keys" info storage
-  @ List.map
-      (fun (e : cache_extremes) ->
-        m
-          ("max_cached/" ^ slug e.scheme ^ "/" ^ slug e.policy)
-          info
-          (float_of_int e.max_cached))
-      extremes
+let block_metrics d = function
+  | Heading _ | Text _ -> []
+  | Rows (rows, key, fields) ->
+      let join name part = if String.equal part "" then name else name ^ "/" ^ part in
+      List.concat_map
+        (fun r ->
+          List.concat_map
+            (fun f ->
+              match f.metric with
+              | None -> []
+              | Some (name, better, values) ->
+                  List.map
+                    (fun (sub, v) -> Obs.Bench_report.metric (join (join name (key r)) sub) better v)
+                    (values r))
+            fields)
+        (rows d)
 
-let metrics_fig15 (series : hotspot_series list) =
-  List.concat_map
-    (fun (s : hotspot_series) ->
-      let busiest = match s.share_by_rank with (_, v) :: _ -> v | [] -> 0.0 in
-      [
-        m ("gini/" ^ slug s.policy) info s.gini;
-        m ("busiest_share/" ^ slug s.policy) info busiest;
-      ])
-    series
+let run_experiment grid id =
+  List.find_opt (fun (Experiment e) -> String.equal e.id id) experiments
+  |> Option.map (fun (Experiment e) ->
+         let d = e.compute grid in
+         let buf = Buffer.create 4096 in
+         List.iter (render_block buf d) e.blocks;
+         (Buffer.contents buf, List.concat_map (block_metrics d) e.blocks))
 
-let metrics_substrate (data : substrate_row list) =
-  List.concat_map
-    (fun (r : substrate_row) ->
-      let key = slug r.substrate in
-      [
-        m ("interactions/" ^ key) lower r.interactions;
-        m ("normal_bytes/" ^ key) lower r.normal_bytes;
-        m ("routing_bytes/" ^ key) lower r.substrate_overhead_bytes;
-      ])
-    data
-
-let metrics_skew (data : skew_row list) =
-  List.concat_map
-    (fun (r : skew_row) ->
-      let key = "a" ^ fnum r.alpha in
-      [
-        m ("hit_ratio/" ^ key) higher r.hit_ratio;
-        m ("interactions/" ^ key) lower r.interactions;
-      ])
-    data
-
-let metrics_replication (data : replication_row list) =
-  List.concat_map
-    (fun (r : replication_row) ->
-      let key =
-        "r" ^ string_of_int r.replication ^ "/f" ^ fnum r.failed_fraction
-      in
-      [
-        m ("available_keys/" ^ key) higher r.available_keys;
-        m ("replica_entries/" ^ key) info (float_of_int r.storage_cost);
-      ])
-    data
-
-let metrics_deletion (data : deletion_row list) =
-  List.concat_map
-    (fun (r : deletion_row) ->
-      let key = "f" ^ fnum r.deleted_fraction in
-      [
-        m ("dangling/" ^ key) lower (float_of_int r.dangling_lookups);
-        m ("survivors_lost/" ^ key) lower (float_of_int r.survivors_lost);
-        m ("mappings_after/" ^ key) info (float_of_int r.mappings_after);
-      ])
-    data
-
-let metrics_hotspot (data : hotspot_replication_row list) =
-  List.concat_map
-    (fun (r : hotspot_replication_row) ->
-      let key = "r" ^ string_of_int r.key_replicas in
-      [
-        m ("busiest_share/" ^ key) lower r.busiest_share;
-        m ("gini/" ^ key) lower r.load_gini;
-      ])
-    data
-
-let metrics_scheme (data : scheme_variant_row list) =
-  List.concat_map
-    (fun (r : scheme_variant_row) ->
-      let key = slug r.scheme_label in
-      [
-        m ("interactions/" ^ key) lower r.interactions;
-        m ("errors/" ^ key) lower (float_of_int r.non_indexed_errors);
-        m ("index_mb/" ^ key) lower r.index_megabytes;
-      ])
-    data
-
-let metrics_churn (data : churn_row list) =
-  List.concat_map
-    (fun (r : churn_row) ->
-      let key = "c" ^ fnum r.churn_rate ^ "/r" ^ string_of_int r.churn_replication in
-      [
-        m ("availability/" ^ key) higher r.availability;
-        m ("interactions/" ^ key) lower r.churn_interactions;
-        m ("maint_bytes/" ^ key) lower r.maintenance_per_query;
-      ])
-    data
-
-let metrics_fault_sweep (data : fault_sweep_row list) =
-  List.concat_map
-    (fun (r : fault_sweep_row) ->
-      let key = "l" ^ fnum r.sweep_loss_rate ^ "/r" ^ string_of_int r.sweep_retries in
-      [
-        m ("rpc_success/" ^ key) higher r.lookup_success;
-        m ("availability/" ^ key) higher r.fault_availability;
-        m ("interactions/" ^ key) lower r.fault_interactions;
-        m ("timeouts/" ^ key) info (float_of_int r.sweep_timeouts);
-      ])
-    data
-
-let metrics_concurrency (data : concurrency_row list) =
-  List.concat_map
-    (fun (r : concurrency_row) ->
-      let key =
-        "c" ^ string_of_int r.row_concurrency
-        ^ if r.row_coalesce then "/coalesce" else "/plain"
-      in
-      [
-        m ("normal_bytes/" ^ key) lower r.row_normal_per_query;
-        m ("cache_bytes/" ^ key) info r.row_cache_per_query;
-        m ("coalesced/" ^ key) info (float_of_int r.row_coalesced);
-        m ("session_latency/" ^ key) lower r.row_session_latency;
-        m ("peak_in_flight/" ^ key) info (float_of_int r.row_peak_in_flight);
-      ])
-    data
-
-let metrics_prefix_sweep (data : prefix_sweep_row list) =
-  List.concat_map
-    (fun (r : prefix_sweep_row) ->
-      let key = "l" ^ string_of_int r.sweep_prefix_len in
-      [
-        m ("routed_nodes/" ^ key) lower r.routed_nodes_mean;
-        m ("node_savings/" ^ key) higher
-          (float_of_int r.sweep_broadcast_nodes -. r.routed_nodes_mean);
-        m ("broadcast_nodes/" ^ key) info
-          (float_of_int r.sweep_broadcast_nodes);
-        m ("routed_bytes_direct/" ^ key) lower r.direct_bytes_per_query;
-        m ("routed_bytes_multicast/" ^ key) lower r.multicast_bytes_per_query;
-        m ("broadcast_bytes/" ^ key) info r.broadcast_bytes_per_query;
-        m ("multicast_messages/" ^ key) lower
-          (float_of_int r.install_messages);
-        m ("multicast_bound_slack/" ^ key) higher
-          (float_of_int r.install_bound_slack);
-        m ("tree_depth/" ^ key) info (float_of_int r.install_depth);
-        m ("interactions/" ^ key) lower r.sweep_interactions;
-        m ("normal_bytes/" ^ key) lower r.sweep_normal_bytes;
-      ])
-    data
-
-let metrics_quorum_sweep (data : quorum_sweep_row list) =
-  List.concat_map
-    (fun (r : quorum_sweep_row) ->
-      let key =
-        "c" ^ fnum r.sweep_churn_rate ^ "/q" ^ string_of_int r.sweep_read_quorum
-      in
-      [
-        m ("stale_rate/" ^ key) lower r.quorum_stale_rate;
-        m ("availability/" ^ key) higher r.quorum_availability;
-        m ("read_repairs/" ^ key) info (float_of_int r.quorum_sweep_read_repairs);
-        m ("under_acked/" ^ key) info (float_of_int r.quorum_sweep_under_acked);
-        m ("maint_bytes/" ^ key) lower r.quorum_maint_per_query;
-        m ("ae_digest_bytes/" ^ key) lower (float_of_int r.quorum_digest_bytes);
-        m ("ae_shipped_bytes/" ^ key) lower (float_of_int r.quorum_shipped_bytes);
-        m ("ae_savings/" ^ key) higher
-          (float_of_int
-             (r.quorum_full_state_bytes - r.quorum_digest_bytes
-            - r.quorum_shipped_bytes));
-      ])
-    data
-
-let metrics_scale_sweep (data : scale_sweep_row list) =
-  List.concat_map
-    (fun (r : scale_sweep_row) ->
-      let key = "n" ^ string_of_int r.scale_nodes in
-      [
-        m ("interactions/" ^ key) lower r.scale_interactions;
-        m ("normal_bytes/" ^ key) lower r.scale_normal_bytes;
-        m ("errors/" ^ key) lower (float_of_int r.scale_errors);
-        m ("minor_words_per_query/" ^ key) lower r.scale_minor_words_per_query;
-      ]
-      @ List.map
-          (fun (e : Obs.Phase.entry) ->
-            m
-              ("phase_minor_words/" ^ key ^ "/" ^ slug e.Obs.Phase.phase)
-              info e.Obs.Phase.minor_words)
-          r.scale_phases)
-    data
-
-let run_experiment grid ~print id =
-  let scale = Grid.scale grid in
-  match id with
-  | "fig7" ->
-      let data = fig7_query_mix scale in
-      if print then render_fig7 data;
-      Some (metrics_fig7 data)
-  | "fig9" ->
-      let data = fig9_popularity scale in
-      if print then render_fig9 data;
-      Some (metrics_fig9 data)
-  | "fig10" ->
-      let data = fig10_ccdf scale in
-      if print then render_fig10 data;
-      Some (metrics_fig10 data)
-  | "storage" ->
-      let data = storage_overhead grid in
-      if print then render_storage data;
-      Some (metrics_storage data)
-  | "keys" ->
-      let data = keys_per_node grid in
-      if print then render_keys data;
-      Some (metrics_keys data)
-  | "fig11" ->
-      let data = fig11_interactions grid in
-      if print then render_fig11 data;
-      Some (cell_metrics "interactions" lower data)
-  | "fig12" ->
-      let data = fig12_traffic grid in
-      if print then render_fig12 data;
-      Some (metrics_fig12 data)
-  | "fig13" ->
-      let hits = fig13_hit_ratio grid in
-      let shares = fig13_first_node_share grid in
-      if print then render_fig13 ~hits ~shares;
-      Some
-        (cell_metrics "hit_ratio" higher hits
-        @ List.map
-            (fun (c : cell) ->
-              m ("first_node_share/" ^ slug c.scheme) higher c.value)
-            shares)
-  | "fig14" ->
-      let storage = fig14_cache_storage grid in
-      let extremes = fig14_extremes grid in
-      if print then render_fig14 ~storage ~extremes;
-      Some (metrics_fig14 ~storage ~extremes)
-  | "fig15" ->
-      let data = fig15_hotspots grid in
-      if print then render_fig15 data;
-      Some (metrics_fig15 data)
-  | "table1" ->
-      let data = table1_errors grid in
-      if print then render_table1 data;
-      Some (cell_metrics "errors" lower data)
-  | "ablation-substrate" ->
-      let data = ablation_substrate scale in
-      if print then render_ablation_substrate data;
-      Some (metrics_substrate data)
-  | "ablation-skew" ->
-      let data = ablation_skew scale in
-      if print then render_ablation_skew data;
-      Some (metrics_skew data)
-  | "ablation-replication" ->
-      let data = ablation_replication scale in
-      if print then render_ablation_replication data;
-      Some (metrics_replication data)
-  | "ablation-deletion" ->
-      let data = ablation_deletion scale in
-      if print then render_ablation_deletion data;
-      Some (metrics_deletion data)
-  | "ablation-hotspot" ->
-      let data = ablation_hotspot_replication scale in
-      if print then render_ablation_hotspot data;
-      Some (metrics_hotspot data)
-  | "ablation-scheme" ->
-      let data = ablation_scheme_variants scale in
-      if print then render_ablation_scheme data;
-      Some (metrics_scheme data)
-  | "ablation-churn" ->
-      let data = ablation_churn scale in
-      if print then render_ablation_churn data;
-      Some (metrics_churn data)
-  | "fault-sweep" ->
-      let data = fault_sweep scale in
-      if print then render_fault_sweep data;
-      Some (metrics_fault_sweep data)
-  | "concurrency-sweep" ->
-      let data = concurrency_sweep scale in
-      if print then render_concurrency_sweep data;
-      Some (metrics_concurrency data)
-  | "prefix-sweep" ->
-      let data = prefix_sweep scale in
-      if print then render_prefix_sweep data;
-      Some (metrics_prefix_sweep data)
-  | "quorum-sweep" ->
-      let data = quorum_sweep scale in
-      if print then render_quorum_sweep data;
-      Some (metrics_quorum_sweep data)
-  | "scale-sweep" ->
-      let data = scale_sweep scale in
-      if print then render_scale_sweep data;
-      Some (metrics_scale_sweep data)
-  | _ -> None
-
-let print_experiment grid id = Option.is_some (run_experiment grid ~print:true id)
+let print_experiment grid id =
+  match run_experiment grid id with
+  | Some (text, _) ->
+      print_string text;
+      true
+  | None -> false

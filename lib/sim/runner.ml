@@ -117,6 +117,12 @@ let fault_active cfg =
   | Some f ->
       f.loss_rate > 0. || f.duplicate_rate > 0. || f.latency_mean > 0. || f.hedge
 
+(* A churn block at rate 0 degenerates completely: no driver, the
+   virtual clock never advances, TTLs never bite — the run is the static
+   run (byte-for-byte, at replication 1). *)
+let churn_active cfg =
+  match cfg.churn with Some c -> c.churn_rate > 0. | None -> false
+
 (* The replication factor the index is created with: the larger of the
    churn and fault blocks' asks, 1 when neither is present. *)
 let effective_replication cfg =
@@ -308,10 +314,7 @@ module Internal = struct
           invalid_arg "Runner.run: write_quorum must be within [1, replication]";
         if q.anti_entropy_interval < 0. || Float.is_nan q.anti_entropy_interval
         then invalid_arg "Runner.run: anti_entropy_interval must be >= 0";
-        let churn_active =
-          match cfg.churn with Some c -> c.churn_rate > 0. | None -> false
-        in
-        if q.anti_entropy_interval > 0. && not churn_active then
+        if q.anti_entropy_interval > 0. && not (churn_active cfg) then
           invalid_arg
             "Runner.run: anti_entropy_interval requires active churn (the \
              churn driver schedules the passes)")
@@ -349,24 +352,11 @@ module Internal = struct
     ];
   let resolver = build_resolver ~metrics:registry cfg in
   let net = Network.create ~metrics:registry ~node_count:cfg.node_count () in
-  (* Churn plumbing.  A rate of 0 degenerates completely: no driver, the
-     virtual clock never advances, TTLs never bite — the run is the static
-     run (byte-for-byte, at replication 1). *)
-  let churn_active =
-    match cfg.churn with Some c -> c.churn_rate > 0. | None -> false
-  in
+  let churn_active = churn_active cfg in
   let clock_ref = ref 0.0 in
   let clock () = !clock_ref in
   let liveness = Dht.Liveness.create ~node_count:cfg.node_count in
-  let replication =
-    let churn_replication =
-      match cfg.churn with Some c -> c.replication | None -> 1
-    in
-    let fault_replication =
-      match cfg.faults with Some f -> f.fault_replication | None -> 1
-    in
-    Stdlib.max churn_replication fault_replication
-  in
+  let replication = effective_replication cfg in
   let ttl =
     match cfg.churn with Some c when churn_active -> c.ttl | Some _ | None -> infinity
   in
@@ -695,6 +685,55 @@ module Internal = struct
     set "p2pindex_gc_heap_words" "Major-heap size at report time, words"
       (float_of_int now.Gc.heap_words)
 
+  (* The report from its parts: the seventeen RPC, quorum and
+     anti-entropy fields are read from [snapshot], so a single run's
+     registry and a sharded run's merged snapshot map to fields the
+     same way. *)
+  let assemble_report ~config ~interactions ~hits ~hits_first_node ~errors ~error_probes
+      ~unreachable ~request_bytes ~response_bytes ~cache_bytes ~maintenance_bytes
+      ~node_touches ~cached_keys ~regular_keys ~index_bytes ~article_bytes ~index_mappings
+      ~publish_bytes ~network_messages snapshot =
+    let counter name = Obs.Metrics.counter_total snapshot name in
+    {
+      config;
+      interactions;
+      hits;
+      hits_first_node;
+      errors;
+      error_probes;
+      unreachable;
+      request_bytes;
+      response_bytes;
+      cache_bytes;
+      maintenance_bytes;
+      node_touches;
+      cached_keys;
+      regular_keys;
+      index_bytes;
+      article_bytes;
+      index_mappings;
+      publish_bytes;
+      network_messages;
+      rpc_calls = counter "p2pindex_rpc_calls_total";
+      rpc_exhausted = counter "p2pindex_rpc_exhausted_total";
+      rpc_timeouts = counter "p2pindex_rpc_timeouts_total";
+      rpc_retries = counter "p2pindex_rpc_retries_total";
+      rpc_hedges = counter "p2pindex_rpc_hedges_total";
+      rpc_hedges_won = counter "p2pindex_rpc_hedges_won_total";
+      rpc_duplicates_suppressed = counter "p2pindex_rpc_duplicates_suppressed_total";
+      rpc_lost_messages = counter "p2pindex_rpc_lost_messages_total";
+      quorum_reads = counter "p2pindex_quorum_reads_total";
+      quorum_stale_reads = counter "p2pindex_quorum_stale_reads_total";
+      quorum_read_repairs = counter "p2pindex_quorum_read_repairs_total";
+      quorum_writes = counter "p2pindex_quorum_writes_total";
+      quorum_write_failures = counter "p2pindex_quorum_write_failures_total";
+      antientropy_rounds = counter "p2pindex_antientropy_rounds_total";
+      antientropy_digest_bytes = counter "p2pindex_antientropy_digest_bytes_total";
+      antientropy_shipped_bytes = counter "p2pindex_antientropy_shipped_bytes_total";
+      antientropy_full_state_bytes = counter "p2pindex_antientropy_full_state_bytes_total";
+      metrics = snapshot;
+    }
+
   let make_report env tally =
     (match env.phases with
     | Some p ->
@@ -705,49 +744,19 @@ module Internal = struct
         Obs.Phase.to_metrics p env.registry
     | None -> ());
     let snapshot = Obs.Metrics.snapshot env.registry in
-    let rpc_count name = Obs.Metrics.counter_total snapshot name in
-    {
-      config = env.cfg;
-      interactions = tally.interactions;
-      hits = tally.hits;
-      hits_first_node = tally.hits_first_node;
-      errors = tally.errors;
-      error_probes = tally.error_probes;
-      unreachable = tally.unreachable;
-      request_bytes = Network.bytes env.net Network.Request;
-      response_bytes = Network.bytes env.net Network.Response;
-      cache_bytes = Network.bytes env.net Network.Cache_update;
-      maintenance_bytes = Network.bytes env.net Network.Maintenance;
-      node_touches = Network.touches env.net;
-      cached_keys = Array.map Shortcut.size env.caches;
-      regular_keys = Index.entries_per_node env.index;
-      index_bytes = Index.index_bytes env.index;
-      article_bytes = Index.file_bytes env.index;
-      index_mappings = Index.mapping_count env.index;
-      publish_bytes = env.publish_bytes;
-      network_messages = Network.total_messages env.net;
-      rpc_calls = rpc_count "p2pindex_rpc_calls_total";
-      rpc_exhausted = rpc_count "p2pindex_rpc_exhausted_total";
-      rpc_timeouts = rpc_count "p2pindex_rpc_timeouts_total";
-      rpc_retries = rpc_count "p2pindex_rpc_retries_total";
-      rpc_hedges = rpc_count "p2pindex_rpc_hedges_total";
-      rpc_hedges_won = rpc_count "p2pindex_rpc_hedges_won_total";
-      rpc_duplicates_suppressed =
-        rpc_count "p2pindex_rpc_duplicates_suppressed_total";
-      rpc_lost_messages = rpc_count "p2pindex_rpc_lost_messages_total";
-      quorum_reads = rpc_count "p2pindex_quorum_reads_total";
-      quorum_stale_reads = rpc_count "p2pindex_quorum_stale_reads_total";
-      quorum_read_repairs = rpc_count "p2pindex_quorum_read_repairs_total";
-      quorum_writes = rpc_count "p2pindex_quorum_writes_total";
-      quorum_write_failures = rpc_count "p2pindex_quorum_write_failures_total";
-      antientropy_rounds = rpc_count "p2pindex_antientropy_rounds_total";
-      antientropy_digest_bytes = rpc_count "p2pindex_antientropy_digest_bytes_total";
-      antientropy_shipped_bytes =
-        rpc_count "p2pindex_antientropy_shipped_bytes_total";
-      antientropy_full_state_bytes =
-        rpc_count "p2pindex_antientropy_full_state_bytes_total";
-      metrics = snapshot;
-    }
+    assemble_report ~config:env.cfg ~interactions:tally.interactions ~hits:tally.hits
+      ~hits_first_node:tally.hits_first_node ~errors:tally.errors
+      ~error_probes:tally.error_probes ~unreachable:tally.unreachable
+      ~request_bytes:(Network.bytes env.net Network.Request)
+      ~response_bytes:(Network.bytes env.net Network.Response)
+      ~cache_bytes:(Network.bytes env.net Network.Cache_update)
+      ~maintenance_bytes:(Network.bytes env.net Network.Maintenance)
+      ~node_touches:(Network.touches env.net)
+      ~cached_keys:(Array.map Shortcut.size env.caches)
+      ~regular_keys:(Index.entries_per_node env.index)
+      ~index_bytes:(Index.index_bytes env.index) ~article_bytes:(Index.file_bytes env.index)
+      ~index_mappings:(Index.mapping_count env.index) ~publish_bytes:env.publish_bytes
+      ~network_messages:(Network.total_messages env.net) snapshot
 end
 
 let run ?events ?metrics ?tracer ?phases cfg =

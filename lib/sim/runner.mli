@@ -363,4 +363,32 @@ module Internal : sig
   val make_report : env -> tally -> report
   (** Snapshot the registry and assemble the final report — identical to
       the sequential runner's epilogue. *)
+
+  val assemble_report :
+    config:config ->
+    interactions:Stdx.Stats.Summary.t ->
+    hits:int ->
+    hits_first_node:int ->
+    errors:int ->
+    error_probes:Stdx.Stats.Summary.t ->
+    unreachable:int ->
+    request_bytes:int ->
+    response_bytes:int ->
+    cache_bytes:int ->
+    maintenance_bytes:int ->
+    node_touches:int array ->
+    cached_keys:int array ->
+    regular_keys:int array ->
+    index_bytes:int ->
+    article_bytes:int ->
+    index_mappings:int ->
+    publish_bytes:int ->
+    network_messages:int ->
+    Obs.Metrics.snapshot ->
+    report
+  (** A report from the fields the registry does not back and a metrics
+      snapshot: the [rpc_*], [quorum_*] and [antientropy_*] fields are
+      each the snapshot's {!Obs.Metrics.counter_total} of their counter,
+      and [metrics] is the snapshot.  {!make_report} and the sharded merge
+      both assemble through it. *)
 end

@@ -48,56 +48,35 @@ let validate ~shards ~domains (cfg : Runner.config) =
    streaming-summary merges for the distributions, concatenation in shard
    order for the per-node arrays (shard s's nodes occupy the dense id
    block [offset_s, offset_s + node_count_s)), and the snapshot merge for
-   the registries.  [config] is the caller's unsharded config, so derived
-   metrics (per-query traffic, availability) read network-wide totals. *)
+   the registries, from which the registry-backed counters are read.
+   [config] is the caller's unsharded config, so derived metrics
+   (per-query traffic, availability) read network-wide totals. *)
 let merge_base (cfg : Runner.config) (reports : Runner.report list) =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let cat f = Array.concat (List.map f reports) in
   let summ f =
     List.fold_left (fun acc r -> Summary.merge acc (f r)) (Summary.create ()) reports
   in
-  {
-    Runner.config = cfg;
-    interactions = summ (fun (r : Runner.report) -> r.Runner.interactions);
-    hits = sum (fun r -> r.Runner.hits);
-    hits_first_node = sum (fun r -> r.Runner.hits_first_node);
-    errors = sum (fun r -> r.Runner.errors);
-    error_probes = summ (fun (r : Runner.report) -> r.Runner.error_probes);
-    unreachable = sum (fun r -> r.Runner.unreachable);
-    request_bytes = sum (fun r -> r.Runner.request_bytes);
-    response_bytes = sum (fun r -> r.Runner.response_bytes);
-    cache_bytes = sum (fun r -> r.Runner.cache_bytes);
-    maintenance_bytes = sum (fun r -> r.Runner.maintenance_bytes);
-    node_touches = cat (fun r -> r.Runner.node_touches);
-    cached_keys = cat (fun r -> r.Runner.cached_keys);
-    regular_keys = cat (fun r -> r.Runner.regular_keys);
-    index_bytes = sum (fun r -> r.Runner.index_bytes);
-    article_bytes = sum (fun r -> r.Runner.article_bytes);
-    index_mappings = sum (fun r -> r.Runner.index_mappings);
-    publish_bytes = sum (fun r -> r.Runner.publish_bytes);
-    network_messages = sum (fun r -> r.Runner.network_messages);
-    rpc_calls = sum (fun r -> r.Runner.rpc_calls);
-    rpc_exhausted = sum (fun r -> r.Runner.rpc_exhausted);
-    rpc_timeouts = sum (fun r -> r.Runner.rpc_timeouts);
-    rpc_retries = sum (fun r -> r.Runner.rpc_retries);
-    rpc_hedges = sum (fun r -> r.Runner.rpc_hedges);
-    rpc_hedges_won = sum (fun r -> r.Runner.rpc_hedges_won);
-    rpc_duplicates_suppressed = sum (fun r -> r.Runner.rpc_duplicates_suppressed);
-    rpc_lost_messages = sum (fun r -> r.Runner.rpc_lost_messages);
-    quorum_reads = sum (fun r -> r.Runner.quorum_reads);
-    quorum_stale_reads = sum (fun r -> r.Runner.quorum_stale_reads);
-    quorum_read_repairs = sum (fun r -> r.Runner.quorum_read_repairs);
-    quorum_writes = sum (fun r -> r.Runner.quorum_writes);
-    quorum_write_failures = sum (fun r -> r.Runner.quorum_write_failures);
-    antientropy_rounds = sum (fun r -> r.Runner.antientropy_rounds);
-    antientropy_digest_bytes = sum (fun r -> r.Runner.antientropy_digest_bytes);
-    antientropy_shipped_bytes = sum (fun r -> r.Runner.antientropy_shipped_bytes);
-    antientropy_full_state_bytes =
-      sum (fun r -> r.Runner.antientropy_full_state_bytes);
-    metrics =
-      Obs.Metrics.merge_snapshots
-        (List.map (fun (r : Runner.report) -> r.Runner.metrics) reports);
-  }
+  Runner.Internal.assemble_report ~config:cfg
+    ~interactions:(summ (fun (r : Runner.report) -> r.Runner.interactions))
+    ~hits:(sum (fun r -> r.Runner.hits))
+    ~hits_first_node:(sum (fun r -> r.Runner.hits_first_node))
+    ~errors:(sum (fun r -> r.Runner.errors))
+    ~error_probes:(summ (fun (r : Runner.report) -> r.Runner.error_probes))
+    ~unreachable:(sum (fun r -> r.Runner.unreachable))
+    ~request_bytes:(sum (fun r -> r.Runner.request_bytes))
+    ~response_bytes:(sum (fun r -> r.Runner.response_bytes))
+    ~cache_bytes:(sum (fun r -> r.Runner.cache_bytes))
+    ~maintenance_bytes:(sum (fun r -> r.Runner.maintenance_bytes))
+    ~node_touches:(cat (fun r -> r.Runner.node_touches))
+    ~cached_keys:(cat (fun r -> r.Runner.cached_keys))
+    ~regular_keys:(cat (fun r -> r.Runner.regular_keys))
+    ~index_bytes:(sum (fun r -> r.Runner.index_bytes))
+    ~article_bytes:(sum (fun r -> r.Runner.article_bytes))
+    ~index_mappings:(sum (fun r -> r.Runner.index_mappings))
+    ~publish_bytes:(sum (fun r -> r.Runner.publish_bytes))
+    ~network_messages:(sum (fun r -> r.Runner.network_messages))
+    (Obs.Metrics.merge_snapshots (List.map (fun (r : Runner.report) -> r.Runner.metrics) reports))
 
 let merge_engine ~concurrency ~coalesce (cfg : Runner.config)
     (reports : Engine.report list) =

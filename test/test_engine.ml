@@ -202,30 +202,130 @@ let sharded_identical_across_domains () =
     (fun s e -> check_engine_reports_equal e d2.Sharded.per_shard.(s))
     d1.Sharded.per_shard
 
+(* Churn with pauses under an active quorum block, message loss and
+   duplication with retries and hedging, R = 2, W = 3 and anti-entropy. *)
+let churned_faulty_quorum =
+  {
+    small_config with
+    query_count = 3_000;
+    churn =
+      Some
+        { Runner.default_churn with churn_rate = 0.01; republish_period = 10.0 };
+    faults =
+      Some
+        {
+          Runner.default_faults with
+          loss_rate = 0.05;
+          duplicate_rate = 0.05;
+          rpc_retries = 2;
+          hedge = true;
+          fault_replication = 3;
+        };
+    quorum = Some { Runner.read_quorum = 2; write_quorum = 3; anti_entropy_interval = 10.0 };
+  }
+
+(* The count and byte fields the merge sums. *)
+let summed_fields =
+  [
+    ("hits", fun (r : Runner.report) -> r.hits);
+    ("hits_first_node", fun (r : Runner.report) -> r.hits_first_node);
+    ("errors", fun (r : Runner.report) -> r.errors);
+    ("unreachable", fun (r : Runner.report) -> r.unreachable);
+    ("request_bytes", fun (r : Runner.report) -> r.request_bytes);
+    ("response_bytes", fun (r : Runner.report) -> r.response_bytes);
+    ("cache_bytes", fun (r : Runner.report) -> r.cache_bytes);
+    ("maintenance_bytes", fun (r : Runner.report) -> r.maintenance_bytes);
+    ("index_bytes", fun (r : Runner.report) -> r.index_bytes);
+    ("article_bytes", fun (r : Runner.report) -> r.article_bytes);
+    ("index_mappings", fun (r : Runner.report) -> r.index_mappings);
+    ("publish_bytes", fun (r : Runner.report) -> r.publish_bytes);
+    ("network_messages", fun (r : Runner.report) -> r.network_messages);
+  ]
+
+(* The report fields the registry backs, each with its counter. *)
+let registry_fields =
+  [
+    ("rpc_calls", "p2pindex_rpc_calls_total", fun (r : Runner.report) -> r.rpc_calls);
+    ("rpc_exhausted", "p2pindex_rpc_exhausted_total", fun (r : Runner.report) -> r.rpc_exhausted);
+    ("rpc_timeouts", "p2pindex_rpc_timeouts_total", fun (r : Runner.report) -> r.rpc_timeouts);
+    ("rpc_retries", "p2pindex_rpc_retries_total", fun (r : Runner.report) -> r.rpc_retries);
+    ("rpc_hedges", "p2pindex_rpc_hedges_total", fun (r : Runner.report) -> r.rpc_hedges);
+    ("rpc_hedges_won", "p2pindex_rpc_hedges_won_total", fun (r : Runner.report) -> r.rpc_hedges_won);
+    ( "rpc_duplicates_suppressed",
+      "p2pindex_rpc_duplicates_suppressed_total",
+      fun (r : Runner.report) -> r.rpc_duplicates_suppressed );
+    ( "rpc_lost_messages",
+      "p2pindex_rpc_lost_messages_total",
+      fun (r : Runner.report) -> r.rpc_lost_messages );
+    ("quorum_reads", "p2pindex_quorum_reads_total", fun (r : Runner.report) -> r.quorum_reads);
+    ( "quorum_stale_reads",
+      "p2pindex_quorum_stale_reads_total",
+      fun (r : Runner.report) -> r.quorum_stale_reads );
+    ( "quorum_read_repairs",
+      "p2pindex_quorum_read_repairs_total",
+      fun (r : Runner.report) -> r.quorum_read_repairs );
+    ("quorum_writes", "p2pindex_quorum_writes_total", fun (r : Runner.report) -> r.quorum_writes);
+    ( "quorum_write_failures",
+      "p2pindex_quorum_write_failures_total",
+      fun (r : Runner.report) -> r.quorum_write_failures );
+    ( "antientropy_rounds",
+      "p2pindex_antientropy_rounds_total",
+      fun (r : Runner.report) -> r.antientropy_rounds );
+    ( "antientropy_digest_bytes",
+      "p2pindex_antientropy_digest_bytes_total",
+      fun (r : Runner.report) -> r.antientropy_digest_bytes );
+    ( "antientropy_shipped_bytes",
+      "p2pindex_antientropy_shipped_bytes_total",
+      fun (r : Runner.report) -> r.antientropy_shipped_bytes );
+    ( "antientropy_full_state_bytes",
+      "p2pindex_antientropy_full_state_bytes_total",
+      fun (r : Runner.report) -> r.antientropy_full_state_bytes );
+  ]
+
 (* The merge is a sum of isolated shards: every additive field of the
-   merged report equals the sum over per-shard reports, and the per-node
-   arrays concatenate in shard order. *)
+   merged report equals the sum over per-shard reports, the per-node
+   arrays concatenate in shard order, and every registry-backed field is
+   also the merged snapshot's counter total. *)
 let sharded_merge_is_shard_sum () =
-  let sr = Sharded.run ~shards:3 small_config in
-  let merged = sr.Sharded.engine.Engine.base in
-  let shard_sum f =
-    Array.fold_left (fun acc e -> acc + f e.Engine.base) 0 sr.Sharded.per_shard
+  let check_merge (cfg : Runner.config) =
+    let sr = Sharded.run ~shards:3 cfg in
+    let merged = sr.Sharded.engine.Engine.base in
+    let shard_sum f =
+      Array.fold_left (fun acc e -> acc + f e.Engine.base) 0 sr.Sharded.per_shard
+    in
+    List.iter
+      (fun (field, get) ->
+        Alcotest.(check int) (field ^ " is the shard sum") (shard_sum get) (get merged))
+      summed_fields;
+    Alcotest.(check int) "nodes covered" cfg.Runner.node_count
+      (Array.length merged.Runner.node_touches);
+    Alcotest.(check (array int)) "touches concatenate in shard order"
+      (Array.concat
+         (Array.to_list
+            (Array.map (fun e -> e.Engine.base.Runner.node_touches) sr.Sharded.per_shard)))
+      merged.Runner.node_touches;
+    Alcotest.(check int) "queries covered" cfg.Runner.query_count
+      (Summary.count merged.Runner.interactions);
+    List.iter
+      (fun (field, counter, get) ->
+        Alcotest.(check int) (field ^ " is the shard sum") (shard_sum get) (get merged);
+        Alcotest.(check int)
+          (field ^ " is the merged snapshot's counter")
+          (Obs.Metrics.counter_total merged.Runner.metrics counter)
+          (get merged))
+      registry_fields;
+    merged
   in
-  Alcotest.(check int) "request bytes" merged.Runner.request_bytes
-    (shard_sum (fun r -> r.Runner.request_bytes));
-  Alcotest.(check int) "network messages" merged.Runner.network_messages
-    (shard_sum (fun r -> r.Runner.network_messages));
-  Alcotest.(check int) "errors" merged.Runner.errors
-    (shard_sum (fun r -> r.Runner.errors));
-  Alcotest.(check int) "nodes covered" small_config.Runner.node_count
-    (Array.length merged.Runner.node_touches);
-  Alcotest.(check (array int)) "touches concatenate in shard order"
-    (Array.concat
-       (Array.to_list
-          (Array.map (fun e -> e.Engine.base.Runner.node_touches) sr.Sharded.per_shard)))
-    merged.Runner.node_touches;
-  Alcotest.(check int) "queries covered" small_config.Runner.query_count
-    (Summary.count merged.Runner.interactions)
+  ignore (check_merge small_config : Runner.report);
+  (* The second input reaches the counters it checks: every field but
+     stale reads and shipped anti-entropy bytes, which stay 0 in this
+     small configuration, reads above 0. *)
+  let churned = check_merge churned_faulty_quorum in
+  Alcotest.(check (list string)) "registry fields at 0"
+    [ "quorum_stale_reads"; "antientropy_shipped_bytes" ]
+    (List.filter_map
+       (fun (field, _, get) -> if get churned > 0 then None else Some field)
+       registry_fields)
 
 (* Property: over random shard/domain choices, the merged report only
    depends on the shard count — never on the worker count. *)

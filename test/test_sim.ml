@@ -209,22 +209,120 @@ let trace_replay_equals_generation () =
   Alcotest.(check int) "same traffic" generated.Runner.response_bytes
     replayed.Runner.response_bytes
 
-let experiments_quick_scale () =
-  let scale =
-    { Experiments.node_count = 40; article_count = 200; query_count = 1_000; seed = 3L }
+let tiny_scale =
+  { Experiments.node_count = 40; article_count = 200; query_count = 1_000; seed = 3L }
+
+(* Every experiment's printed text and metrics at [tiny_scale], pinned in
+   [experiments_tiny.expected] as "#### <id> text", the text, "#### <id>
+   metrics" and one "<name> <direction> <%.17g value>" line per metric.
+   Scale-sweep's allocation counts differ between compiler versions, so
+   its "minor w/query" and "walk alloc share" cells and its
+   [minor_words_per_query/*] and [phase_minor_words/*] values read "~"
+   on both sides. *)
+let expected_experiments_file = "experiments_tiny.expected"
+
+let direction_label = function
+  | Obs.Bench_report.Lower_better -> "lower"
+  | Obs.Bench_report.Higher_better -> "higher"
+  | Obs.Bench_report.Informational -> "info"
+
+let allocation_metric name =
+  String.starts_with ~prefix:"minor_words_per_query/" name
+  || String.starts_with ~prefix:"phase_minor_words/" name
+
+(* Blank the numeric cells (and the separator) of the scale-sweep table's
+   last two columns; header cells carry letters and stay. *)
+let mask_allocation_cells text =
+  let numeric cell = String.for_all (fun c -> String.contains "0123456789.-% " c) cell in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         match String.split_on_char '|' line with
+         | [ ""; nodes; articles; queries; interactions; normal; errors; minor; share; "" ] ->
+             let mask cell = if numeric cell then " ~ " else cell in
+             String.concat "|"
+               [ ""; nodes; articles; queries; interactions; normal; errors; mask minor; mask share; "" ]
+         | _ -> line)
+  |> String.concat "\n"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let check_same_lines ~expected actual =
+  let rec go n = function
+    | e :: es, a :: rest ->
+        if not (String.equal e a) then
+          Alcotest.failf "experiment output line %d differs:\n  expected: %s\n  actual:   %s" n e a;
+        go (n + 1) (es, rest)
+    | [], [] -> ()
+    | _, _ -> Alcotest.failf "experiment output differs in length from line %d" n
   in
-  let grid = Experiments.Grid.create scale in
-  (* Every experiment renders without error. *)
+  go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
+
+let experiments_quick_scale () =
+  let grid = Experiments.Grid.create tiny_scale in
+  let capture = Buffer.create 65_536 in
   List.iter
     (fun id ->
-      Alcotest.(check bool) (Printf.sprintf "experiment %s prints" id) true
-        (Experiments.print_experiment grid id))
+      match Experiments.run_experiment grid id with
+      | None -> Alcotest.failf "experiment %s is listed but unknown" id
+      | Some (text, metrics) ->
+          let names = List.map (fun (m : Obs.Bench_report.metric) -> m.name) metrics in
+          Alcotest.(check int)
+            (Printf.sprintf "experiment %s: metric names unique" id)
+            (List.length names)
+            (List.length (List.sort_uniq String.compare names));
+          let masked = String.equal id "scale-sweep" in
+          Printf.bprintf capture "#### %s text\n%s#### %s metrics\n" id
+            (if masked then mask_allocation_cells text else text)
+            id;
+          List.iter
+            (fun (m : Obs.Bench_report.metric) ->
+              Printf.bprintf capture "%s %s %s\n" m.name (direction_label m.better)
+                (if masked && allocation_metric m.name then "~"
+                 else Printf.sprintf "%.17g" m.value))
+            metrics)
     Experiments.all_experiment_ids;
+  let expected =
+    match
+      List.find_opt Sys.file_exists
+        [ expected_experiments_file; Filename.concat "test" expected_experiments_file ]
+    with
+    | Some path -> read_file path
+    | None -> Alcotest.failf "%s not found" expected_experiments_file
+  in
+  check_same_lines ~expected (Buffer.contents capture);
+  Alcotest.(check bool) "a known id prints" true (Experiments.print_experiment grid "fig10");
   Alcotest.(check bool) "unknown id rejected" false
     (Experiments.print_experiment grid "fig99")
 
-let tiny_scale =
-  { Experiments.node_count = 40; article_count = 200; query_count = 1_000; seed = 3L }
+(* DESIGN.md section 4 has a row for every experiment id. *)
+let design_indexes_every_experiment () =
+  let rec find_root dir =
+    if Sys.file_exists (Filename.concat dir "DESIGN.md") then Some dir
+    else
+      let parent = Filename.dirname dir in
+      if String.equal parent dir then None else find_root parent
+  in
+  match find_root (Sys.getcwd ()) with
+  | None -> Alcotest.fail "DESIGN.md not found above the working directory"
+  | Some root ->
+      let lines = String.split_on_char '\n' (read_file (Filename.concat root "DESIGN.md")) in
+      let rec drop_to prefix = function
+        | line :: rest when String.starts_with ~prefix line -> rest
+        | _ :: rest -> drop_to prefix rest
+        | [] -> []
+      in
+      let rec take_to prefix = function
+        | line :: rest when not (String.starts_with ~prefix line) -> line :: take_to prefix rest
+        | _ -> []
+      in
+      let index = take_to "## 5. " (drop_to "## 4. " lines) in
+      List.iter
+        (fun id ->
+          Alcotest.(check bool)
+            (Printf.sprintf "DESIGN.md section 4 has a row for `%s`" id)
+            true
+            (List.exists (String.starts_with ~prefix:(Printf.sprintf "| `%s` |" id)) index))
+        Experiments.all_experiment_ids
 
 let experiments_typed_shapes () =
   let grid = Experiments.Grid.create tiny_scale in
@@ -380,5 +478,7 @@ let suite =
           replication_availability_monotone;
         Alcotest.test_case "caching relieves the hotspot" `Slow fig15_caching_relieves_hotspot;
         Alcotest.test_case "scheme variant ablation" `Quick scheme_variant_ablation;
+        Alcotest.test_case "DESIGN.md indexes every experiment" `Quick
+          design_indexes_every_experiment;
       ] );
   ]
